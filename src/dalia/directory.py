@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable
 
 from .canonical import canonical_bytes
@@ -53,6 +54,19 @@ class DirectorySnapshot:
     agents: dict[str, AgentRecord]
     server_capabilities: dict[str, tuple[CapabilityId, ...]]
     origin: str
+
+    @cached_property
+    def _eligible_agents(self) -> dict[CapabilityId, list[str]]:
+        """Capability id -> eligible agent ids, in sorted agent order."""
+        index: dict[CapabilityId, list[str]] = {}
+        for agent_id in sorted(self.agents):
+            for server_id in self.agents[agent_id].accessible_servers:
+                for cid in self.server_capabilities.get(server_id, ()):
+                    eligible = index.setdefault(cid, [])
+                    # one agent at a time: a repeat via another server is the last entry
+                    if not eligible or eligible[-1] != agent_id:
+                        eligible.append(agent_id)
+        return index
 
 
 def empty_snapshot(origin: str = "directory") -> DirectorySnapshot:
@@ -167,14 +181,12 @@ def executable_capabilities(snapshot: DirectorySnapshot, agent_id: str) -> list[
 
 
 def resolve_capability(snapshot: DirectorySnapshot, capability_id: CapabilityId) -> list[str]:
-    """All agents eligible to execute ``capability_id``, sorted by agent id."""
-    eligible = []
-    for agent_id, record in snapshot.agents.items():
-        for server_id in record.accessible_servers:
-            if capability_id in snapshot.server_capabilities.get(server_id, ()):
-                eligible.append(agent_id)
-                break
-    return sorted(eligible)
+    """All agents eligible to execute ``capability_id``, sorted by agent id.
+
+    Read from an index derived per snapshot on first use; like the derived
+    executable view it is never persisted or compared (not a dataclass field).
+    """
+    return list(snapshot._eligible_agents.get(capability_id, ()))
 
 
 def merge(snapshots: list[DirectorySnapshot]) -> DirectorySnapshot:

@@ -15,7 +15,10 @@ All operations are pure functions over immutable inputs.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Sequence
 
 from .atdp import TaskDeclaration
@@ -96,11 +99,14 @@ class TaskGraph:
             "source_bindings": list(self.source_bindings),
         }
 
+    @cached_property
+    def _nodes_by_id(self) -> dict[int, Node]:
+        # reversed, so that the first node wins on a duplicate id
+        return {node.node_id: node for node in reversed(self.nodes)}
+
     def node(self, node_id: int) -> Node:
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        raise KeyError(node_id)
+        """The first node carrying ``node_id``; raises KeyError if none does."""
+        return self._nodes_by_id[node_id]
 
 
 def resolve_goal(goal: Goal, ctx: ExecutionContext) -> TaskDeclaration:
@@ -199,36 +205,32 @@ def synthesize_graph(task: TaskDeclaration, goal: Goal, ctx: ExecutionContext) -
 def _try_canonical_order(
     nodes: Sequence[Node], edges: Sequence[Edge]
 ) -> tuple[list[int], list[CapabilityId]]:
-    """Sorted-ready-set topological sort.
+    """Topological sort popping ready nodes by (rendered capability id, node id).
 
     Returns (order, leftover-capability-ids); a non-empty leftover means the
     edges contain a cycle through those capabilities.
     """
-    indegree = {node.node_id: 0 for node in nodes}
-    successors: dict[int, list[int]] = {node.node_id: [] for node in nodes}
+    by_id = {node.node_id: node for node in nodes}
+    key = {nid: (node.capability_id.render(), nid) for nid, node in by_id.items()}
+    indegree = dict.fromkeys(by_id, 0)
+    successors: dict[int, list[int]] = {nid: [] for nid in by_id}
     for edge in edges:
         # Edges with dangling endpoints are reported by structural checks.
         if edge.from_node in indegree and edge.to_node in indegree:
             indegree[edge.to_node] += 1
             successors[edge.from_node].append(edge.to_node)
 
-    by_id = {node.node_id: node for node in nodes}
-
-    def sort_key(nid: int) -> tuple[str, int]:
-        return by_id[nid].capability_id.render(), nid
-
-    ready = sorted((nid for nid, deg in indegree.items() if deg == 0), key=sort_key)
+    ready = [key[nid] for nid, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
 
     order: list[int] = []
     while ready:
-        nid = ready.pop(0)
+        _, nid = heapq.heappop(ready)
         order.append(nid)
-        released = []
         for succ in successors[nid]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
-                released.append(succ)
-        ready = sorted(ready + released, key=sort_key)
+                heapq.heappush(ready, key[succ])
 
     ordered = set(order)
     leftover = [by_id[nid].capability_id for nid in indegree if nid not in ordered]
@@ -238,13 +240,17 @@ def _try_canonical_order(
 def _first_precondition_defect(
     graph: TaskGraph, order: Sequence[int], goal: Goal, ctx: ExecutionContext
 ) -> tuple[str, CapabilityId] | None:
-    """Simulate the canonical order; first precondition that never holds."""
+    """Simulate the canonical order; first precondition that never holds.
+    Undeclared capabilities are skipped: structural checks report them."""
     facts = goal.initial_fact_set()
     for node_id in order:
-        cap = ctx.capability(graph.node(node_id).capability_id)
+        cid = graph.node(node_id).capability_id
+        if cid not in ctx.capabilities:
+            continue
+        cap = ctx.capability(cid)
         for fact in cap.preconditions:
             if fact not in facts:
-                return fact, cap.capability_id
+                return fact, cid
         facts.update(cap.postconditions)
         facts.update(slot_known_fact(slot) for slot in cap.outputs)
     return None
@@ -274,7 +280,7 @@ def validate_graph(graph: TaskGraph, goal: Goal, ctx: ExecutionContext) -> Valid
 
     order, leftover = _try_canonical_order(graph.nodes, graph.edges)
     if not leftover:
-        defect = _first_precondition_defect_safe(graph, order, goal, ctx)
+        defect = _first_precondition_defect(graph, order, goal, ctx)
         if defect is not None:
             fact, capability_id = defect
             report.add(
@@ -336,42 +342,24 @@ def structural_violations(graph: TaskGraph, ctx: ExecutionContext) -> list[str]:
             violations.append(f"edge slot {edge.slot!r} is not an input of {consumer}")
 
     source = set(graph.source_bindings)
+    incoming = Counter((edge.to_node, edge.slot) for edge in graph.edges)
     for node in graph.nodes:
         if node.capability_id not in ctx.capabilities:
             continue
         for slot in ctx.capability(node.capability_id).inputs:
-            incoming = [
-                e for e in graph.edges if e.to_node == node.node_id and e.slot == slot
-            ]
+            producers = incoming[node.node_id, slot]
             if slot in source:
-                if incoming:
+                if producers:
                     violations.append(
                         f"slot {slot!r} of node {node.node_id} is both source-bound "
                         "and edge-produced"
                     )
-            elif len(incoming) != 1:
+            elif producers != 1:
                 violations.append(
-                    f"slot {slot!r} of node {node.node_id} has {len(incoming)} "
+                    f"slot {slot!r} of node {node.node_id} has {producers} "
                     "producers (expected exactly one or a source binding)"
                 )
     return violations
-
-
-def _first_precondition_defect_safe(
-    graph: TaskGraph, order: Sequence[int], goal: Goal, ctx: ExecutionContext
-) -> tuple[str, CapabilityId] | None:
-    facts = goal.initial_fact_set()
-    for node_id in order:
-        cid = graph.node(node_id).capability_id
-        if cid not in ctx.capabilities:
-            continue
-        cap = ctx.capability(cid)
-        for fact in cap.preconditions:
-            if fact not in facts:
-                return fact, cid
-        facts.update(cap.postconditions)
-        facts.update(slot_known_fact(slot) for slot in cap.outputs)
-    return None
 
 
 def plan(goal: Goal, ctx: ExecutionContext) -> TaskGraph:

@@ -222,6 +222,17 @@ def all_topological_orders(
     return orders
 
 
+def cyclic_core(node_ids: list[int], edges: list[tuple[int, int]]) -> set[int]:
+    """Nodes left after repeatedly removing every node without incoming edges."""
+    remaining = set(node_ids)
+    while True:
+        targets = {to for frm, to in edges if frm in remaining and to in remaining}
+        sources = remaining - targets
+        if not sources:
+            return remaining
+        remaining -= sources
+
+
 # -- random instance generation ----------------------------------------------------
 
 SLOTS = [f"s{i}" for i in range(8)]

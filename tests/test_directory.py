@@ -301,8 +301,36 @@ def test_derived_view_consistency_random_snapshots():
         for ns in ("alpha", "beta")
         for name in ("one", "two", "three")
     ]
+
+    def brute_force_resolve(snapshot, cid):
+        return sorted(
+            agent_id
+            for agent_id, record in snapshot.agents.items()
+            if any(
+                cid in snapshot.server_capabilities.get(server_id, ())
+                for server_id in record.accessible_servers
+            )
+        )
+
+    def derive(snapshot):
+        servers = sorted(snapshot.server_capabilities)
+        choice = rng.randrange(4)
+        if choice == 0:
+            # ids that sort before, between and after the existing AgentN ids
+            agent_id = rng.choice(["Aaron", "Agent1", "Mid", "Zed"])
+            accessible = tuple(s for s in servers if rng.random() < 0.6) or (servers[0],)
+            record = AgentRecord(agent_id, "task_executor", ("d",), accessible)
+            return register_agent(snapshot, record)
+        if choice == 1:
+            return remove_agent(snapshot, rng.choice(sorted(snapshot.agents) or ["Nobody"]))
+        if choice == 2:
+            bound = sorted(rng.sample(ids, rng.randint(0, len(ids))))
+            return bind_server_capabilities(snapshot, rng.choice(servers), bound)
+        return merge([_random_snapshot(rng, "peer", server_prefix="peer"), snapshot])
+
     for _ in range(200):
         snapshot = _random_snapshot(rng, "fuzz")
+        unindexed = load_snapshot(save_snapshot(snapshot))
         for agent_id in snapshot.agents:
             executables = set(executable_capabilities(snapshot, agent_id))
             for cid in ids:
@@ -316,6 +344,18 @@ def test_derived_view_consistency_random_snapshots():
                 if cid in executable_capabilities(snapshot, agent_id)
             )
             assert resolve_capability(snapshot, cid) == expected
+
+        # a derived snapshot answers from its own state, the old one from its own
+        derived = derive(snapshot)
+        for cid in ids:
+            assert resolve_capability(derived, cid) == brute_force_resolve(derived, cid)
+            assert resolve_capability(snapshot, cid) == brute_force_resolve(snapshot, cid)
+
+        # the resolution index never shows in equality or in the persisted form
+        assert "_eligible_agents" in vars(snapshot)
+        assert "_eligible_agents" not in vars(unindexed)
+        assert snapshot == unindexed and unindexed == snapshot
+        assert save_snapshot(snapshot) == save_snapshot(unindexed)
 
 
 def test_parse_agent_record_round_trip():

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+from random import Random
 
 import pytest
 
-from oracles import all_topological_orders
+from oracles import all_topological_orders, cyclic_core, random_instance
 
 from dalia import reference
 from dalia.capabilities import Capability, CapabilityId
 from dalia.discovery import build_invoker
-from dalia.errors import InvalidGraph, WireError
+from dalia.errors import CycleDetected, InvalidGraph, PlanningError, WireError
 from dalia.executor import (
     OUTCOME_ABORTED,
     OUTCOME_COMPLETED,
@@ -24,7 +25,7 @@ from dalia.executor import (
     execute,
     replay_check,
 )
-from dalia.planner import Goal, plan
+from dalia.planner import Edge, Goal, Node, TaskGraph, canonical_serialize_graph, plan
 from dalia.wire import HANDLER_FAULT
 
 from test_planner import build_ctx, cap, task
@@ -110,6 +111,93 @@ def test_canonical_order_diamond_prefers_smaller_capability_id():
         ]
 
     assert key(order) == min(key(topo) for topo in orders)
+
+
+def test_canonical_order_property_random_graphs():
+    rng = Random(4_242)
+    names = [CapabilityId(ns, name) for ns in ("a", "b") for name in ("x", "y", "z")]
+    acyclic = cyclic = 0
+    for _ in range(400):
+        count = rng.randint(1, 7)
+        node_ids = rng.sample(range(20), count)  # shuffled, not 0..n-1
+        # few names for up to seven nodes: capability ids repeat
+        nodes = tuple(Node(nid, rng.choice(names), "", "") for nid in node_ids)
+        edges = [
+            (rng.choice(node_ids), rng.choice(node_ids))
+            for _ in range(rng.randint(0, count + 1))
+        ]
+        graph = TaskGraph(
+            task_id=CapabilityId("t", "order"),
+            nodes=nodes,
+            edges=tuple(Edge(frm, to, "s") for frm, to in edges),
+            source_bindings=(),
+        )
+        core = cyclic_core(node_ids, edges)
+        if core:
+            cyclic += 1
+            with pytest.raises(CycleDetected) as excinfo:
+                canonical_order(graph)
+            expected = sorted(graph.node(nid).capability_id.render() for nid in core)
+            assert excinfo.value.capability_ids == expected
+            continue
+        acyclic += 1
+
+        def key(topo):
+            return [(graph.node(nid).capability_id.render(), nid) for nid in topo]
+
+        orders = all_topological_orders(node_ids, edges)
+        assert key(canonical_order(graph)) == min(key(topo) for topo in orders)
+    assert acyclic >= 150 and cyclic >= 150
+
+
+def test_execution_fuzz_replay_and_abort_shape():
+    rng = Random(31_337)
+    executed = aborted = 0
+    for _ in range(600):
+        ctx = random_instance(rng, with_facts=True)
+        for task_decl in ctx.tasks.values():
+            goal = Goal(
+                intent=task_decl.intent,
+                bindings={slot: f"value_{slot}" for slot in sorted(ctx.provided_inputs)},
+            )
+            try:
+                graph = plan(goal, ctx)
+            except PlanningError:
+                continue
+            plan_bytes = canonical_serialize_graph(graph)
+            assert canonical_serialize_graph(plan(goal, ctx)) == plan_bytes
+            outputs = {
+                node.capability_id.render(): {
+                    slot: f"{node.capability_id}:{slot}"
+                    for slot in ctx.capability(node.capability_id).outputs
+                }
+                for node in graph.nodes
+            }
+            order = canonical_order(graph)
+            # where the graph fails on its own (two producers of one slot)
+            natural = execute(graph, goal, ctx, ScriptedInvoker(outputs))
+            assert replay_check(natural, graph).ok
+            statuses = [step.status for step in natural.steps]
+            natural_pivot = (
+                statuses.index(STATUS_FAILED) if STATUS_FAILED in statuses else len(order)
+            )
+
+            fail_at = rng.choice([None, *range(len(order))])
+            fail = set()
+            if fail_at is not None:
+                fail.add(graph.node(order[fail_at]).capability_id.render())
+            trace = execute(graph, goal, ctx, ScriptedInvoker(outputs, fail))
+            executed += 1
+            assert replay_check(trace, graph).ok
+
+            pivot = natural_pivot if fail_at is None else min(fail_at, natural_pivot)
+            expected = [STATUS_SUCCEEDED] * pivot
+            if pivot < len(order):
+                aborted += 1
+                expected += [STATUS_FAILED] + [STATUS_SKIPPED] * (len(order) - pivot - 1)
+            assert [step.status for step in trace.steps] == expected
+            assert trace.outcome == (OUTCOME_ABORTED if pivot < len(order) else OUTCOME_COMPLETED)
+    assert executed >= 200 and aborted >= 50
 
 
 def _scenario_run(scenario_context, scenario_goal):

@@ -20,14 +20,19 @@ from dalia.discovery import ExecutionContext
 from dalia.errors import (
     AmbiguousIntent,
     CycleDetected,
+    InvalidGraph,
     NoEligibleAgent,
     NoSuchTask,
     PlanningError,
     PreconditionUnschedulable,
     UnproducibleSlot,
 )
+from dalia.executor import execute
 from dalia.planner import (
+    Edge,
     Goal,
+    Node,
+    TaskGraph,
     assign_agents,
     canonical_serialize_graph,
     export_dot,
@@ -294,6 +299,37 @@ def test_validate_flags_unsatisfiable_precondition(scenario_ctx, scenario_goal):
     )
     report = validate_graph(graph, scenario_goal, ctx)
     assert any("payment_on_file" in v for v in report.violations)
+
+
+def test_duplicate_node_ids_resolve_to_the_first_node():
+    # Node 0 appears twice. Read as its second node (b.second), the edge slot
+    # would not be an output and an unmet precondition would be reported;
+    # every lookup takes the first node (a.first), so only the duplicate is.
+    caps = [
+        cap("a.first", outputs=["x"]),
+        cap("b.second", outputs=["y"], pre=["never"]),
+        cap("c.consume", inputs=["x"], outputs=["z"]),
+    ]
+    t = task(
+        "t.dup", "dup_intent", outputs=["z"], capabilities=["a.first", "b.second", "c.consume"]
+    )
+    ctx = build_ctx(caps, [t], set())
+    graph = TaskGraph(
+        task_id=CapabilityId.parse("t.dup"),
+        nodes=(
+            Node(0, CapabilityId.parse("a.first"), "MainAgent", "srv_main"),
+            Node(0, CapabilityId.parse("b.second"), "MainAgent", "srv_main"),
+            Node(1, CapabilityId.parse("c.consume"), "MainAgent", "srv_main"),
+        ),
+        edges=(Edge(0, 1, "x"),),
+        source_bindings=(),
+    )
+    goal = Goal(intent="dup_intent", bindings={})
+    assert graph.node(0) is graph.nodes[0]
+    assert validate_graph(graph, goal, ctx).violations == ["duplicate node ids"]
+    with pytest.raises(InvalidGraph) as excinfo:
+        execute(graph, goal, ctx, invoker=None)
+    assert excinfo.value.violations == ["duplicate node ids"]
 
 
 def test_graph_serialization_round_trip(scenario_ctx, scenario_goal):

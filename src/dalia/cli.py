@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .capabilities import is_identifier
 from .directory import empty_snapshot, load_snapshot, save_snapshot
-from .discovery import build_invoker, context_fingerprint, discover
+from .discovery import ExecutionContext, build_invoker, context_fingerprint, discover
 from .errors import (
     BindFailure,
     ConfigInvalid,
@@ -152,10 +152,17 @@ def _goal(args) -> Goal:
     return Goal(intent=intent, bindings=parse_inputs(args.inputs))
 
 
+def _close_routes(ctx: ExecutionContext) -> None:
+    """Close the server connections discovery opened for this command."""
+    for client in ctx.server_routes.values():
+        client.close()
+
+
 def cmd_discover(args, out) -> int:
     config = load_orchestrator_config(args.config)
     bindings = parse_inputs(args.inputs)
     ctx = discover(config.servers, config.directory, set(bindings))
+    _close_routes(ctx)
     capability_ids = sorted(cid.render() for cid in ctx.capabilities)
     task_ids = sorted(tid.render() for tid in ctx.tasks)
     agent_ids = sorted(ctx.directory.agents)
@@ -174,6 +181,7 @@ def cmd_plan(args, out) -> int:
     config = load_orchestrator_config(args.config)
     goal = _goal(args)
     ctx = discover(config.servers, config.directory, set(goal.bindings))
+    _close_routes(ctx)
     graph = plan(goal, ctx)
     report = validate_graph(graph, goal, ctx)
     if not report.ok:
@@ -189,11 +197,14 @@ def cmd_run(args, out) -> int:
     config = load_orchestrator_config(args.config)
     goal = _goal(args)
     ctx = discover(config.servers, config.directory, set(goal.bindings))
-    graph = plan(goal, ctx)
-    report = validate_graph(graph, goal, ctx)
-    if not report.ok:
-        raise PlanningError("; ".join(report.violations))
-    trace = execute(graph, goal, ctx, build_invoker(ctx))
+    try:
+        graph = plan(goal, ctx)
+        report = validate_graph(graph, goal, ctx)
+        if not report.ok:
+            raise PlanningError("; ".join(report.violations))
+        trace = execute(graph, goal, ctx, build_invoker(ctx))
+    finally:
+        _close_routes(ctx)
     payload = canonical_serialize_trace(trace)
     if args.trace:
         Path(args.trace).write_bytes(payload + b"\n")

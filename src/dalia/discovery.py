@@ -32,7 +32,11 @@ _seal_lock = threading.Lock()
 
 @dataclass(frozen=True)
 class ExecutionContext:
-    """Sealed, closed-world view produced by one discovery round."""
+    """Sealed, closed-world view produced by one discovery round.
+
+    ``server_routes`` maps each server id to the client discovery queried
+    it through; execution invokes over those same clients.
+    """
 
     capabilities: dict[CapabilityId, tuple[Capability, str]]
     tasks: dict[CapabilityId, TaskDeclaration]
@@ -84,7 +88,7 @@ def discover(
         server_id = info["server_id"]
         if server_id in server_routes:
             raise ProtocolError(f"two endpoints report the same server id {server_id!r}")
-        server_routes[server_id] = endpoint
+        server_routes[server_id] = client
 
         if not isinstance(capability_docs, list) or not isinstance(task_docs, list):
             raise ProtocolError(f"{server_id}: list responses must be arrays")
@@ -119,6 +123,9 @@ def discover(
         snapshot_doc = directory_client.call("directory/snapshot")
     except WireError as exc:
         raise ProtocolError(f"directory: {exc}") from exc
+    finally:
+        if directory_client is not directory_endpoint:  # connected here, needed no more
+            directory_client.close()
     try:
         snapshot = load_snapshot(snapshot_doc)
     except ValidationError as exc:
@@ -166,11 +173,8 @@ def context_fingerprint(ctx: ExecutionContext) -> str:
 def build_invoker(ctx: ExecutionContext) -> Invoker:
     """Invocation router for a sealed context.
 
-    String routes are reconnected; client objects recorded during discovery
-    are reused as-is.
+    Routes over the clients discovery connected, so execution reaches
+    exactly the servers the context was sealed from, with no new connection
+    and no second read of a ``local:`` server file.
     """
-    clients = {
-        server_id: connect_server(route)
-        for server_id, route in ctx.server_routes.items()
-    }
-    return Invoker(clients)
+    return Invoker(ctx.server_routes)

@@ -4,9 +4,12 @@ Codec and framing, the capability/task server runtime, the directory
 service, stdio and TCP transports, and the clients the orchestrator uses.
 
 Framing: newline-delimited JSON objects on stdio; on TCP each message is
-length-prefixed HTTP-style (decimal byte count, CRLF CRLF, body).
+length-prefixed HTTP-style (decimal byte count, CRLF CRLF, body), at most
+MAX_FRAME_BYTES long. Anything that does not decode as strict JSON gets a
+-32700 response with id null.
 
-Servers handle requests sequentially per connection; connections are served
+A TCP client keeps one connection per endpoint open across calls. Servers
+handle requests sequentially per connection; connections are served
 concurrently. Directory writes are serialized by the service.
 """
 
@@ -19,7 +22,7 @@ import socketserver
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from . import directory as directory_ops
 from .atdp import TaskDeclaration, parse_task
@@ -175,9 +178,24 @@ def decode_response(obj: Any) -> WireResponse:
 # -- framing --------------------------------------------------------------------
 
 
-def frame_line(obj: dict) -> bytes:
-    """One message per line (stdio transport)."""
-    return canonical_bytes(obj) + b"\n"
+# Largest TCP frame body either side reads. A longer declared length is
+# refused before any of the body is read.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+# json.loads raises ValueError (JSONDecodeError, UnicodeDecodeError, or a
+# non-finite constant) on bad text, and RecursionError on nesting deeper than
+# the interpreter's recursion limit.
+_DECODE_ERRORS = (ValueError, RecursionError)
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _decode_json(data: str | bytes) -> Any:
+    """Strict JSON: UTF-8 when given bytes, and no NaN or Infinity."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def frame_block(obj: dict) -> bytes:
@@ -187,7 +205,12 @@ def frame_block(obj: dict) -> bytes:
 
 
 def read_block(reader: io.BufferedIOBase) -> dict | None:
-    """Read one length-prefixed message; None on clean EOF."""
+    """Read one length-prefixed message; None on clean EOF.
+
+    The length must be unsigned ASCII decimal and at most MAX_FRAME_BYTES;
+    any other header, a short body or a body that is not strict JSON raises
+    ProtocolError.
+    """
     header = bytearray()
     while not header.endswith(b"\r\n\r\n"):
         byte = reader.read(1)
@@ -198,16 +221,18 @@ def read_block(reader: io.BufferedIOBase) -> dict | None:
         header += byte
         if len(header) > 32:
             raise ProtocolError("oversized frame header")
-    try:
-        length = int(header[:-4].decode("ascii"))
-    except ValueError as exc:
-        raise ProtocolError(f"bad frame length: {header[:-4]!r}") from exc
+    digits = bytes(header[:-4])
+    if not digits.isdigit():  # bytes.isdigit accepts ASCII 0-9 only
+        raise ProtocolError(f"bad frame length: {digits!r}")
+    length = int(digits)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES} bytes")
     body = reader.read(length)
     if body is None or len(body) != length:
         raise ProtocolError("connection closed mid-frame")
     try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _decode_json(body)
+    except _DECODE_ERRORS as exc:
         raise ProtocolError(f"frame body is not JSON: {exc}") from exc
 
 
@@ -401,11 +426,11 @@ class _Dispatcher:
             return _error_response(request.id, INTERNAL_ERROR, str(exc))
         return encode_response(WireResponse(id=request.id, result=result))
 
-    def handle_text(self, line: str) -> dict:
-        """Process one raw text frame (stdio transport)."""
+    def handle_text(self, line: str | bytes) -> dict:
+        """Process one raw frame (stdio transport); bytes must be UTF-8."""
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = _decode_json(line)
+        except _DECODE_ERRORS as exc:
             return _error_response(None, PARSE_ERROR, f"parse error: {exc}")
         return self.handle(obj)
 
@@ -532,8 +557,12 @@ class DirectoryService(_Dispatcher):
 
 
 def serve_stdio(dispatcher: _Dispatcher, stdin=None, stdout=None) -> None:
-    """Answer newline-delimited requests until EOF. stdout carries protocol only."""
-    stdin = stdin if stdin is not None else sys.stdin
+    """Answer newline-delimited requests until EOF. stdout carries protocol only.
+
+    ``stdin`` yields lines as text or as bytes; the process's standard input
+    is read as bytes, so a line that is not UTF-8 gets a parse error.
+    """
+    stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout
     for line in stdin:
         if not line.strip():
@@ -544,21 +573,58 @@ def serve_stdio(dispatcher: _Dispatcher, stdin=None, stdout=None) -> None:
 
 
 class _TcpHandler(socketserver.StreamRequestHandler):
+    """Answers frames on one connection until the client closes it.
+
+    After a frame it cannot read, it answers -32700 and closes the
+    connection, because the stream is no longer aligned on frames.
+    """
+
     def handle(self) -> None:
-        while True:
-            try:
-                obj = read_block(self.rfile)
-            except ProtocolError as exc:
-                self.wfile.write(frame_block(_error_response(None, PARSE_ERROR, str(exc))))
-                return
-            if obj is None:
-                return
-            self.wfile.write(frame_block(self.server.dispatcher.handle(obj)))  # type: ignore[attr-defined]
+        dispatcher = self.server.dispatcher  # type: ignore[attr-defined]
+        try:
+            while True:
+                try:
+                    obj = read_block(self.rfile)
+                except ProtocolError as exc:
+                    self.wfile.write(frame_block(_error_response(None, PARSE_ERROR, str(exc))))
+                    return
+                if obj is None:
+                    return
+                self.wfile.write(frame_block(dispatcher.handle(obj)))
+        except OSError:
+            return  # the client reset the connection, or shutdown() closed it
 
 
 class _ThreadingTcpServer(socketserver.ThreadingTCPServer):
+    """Tracks its open connections so shutdown can close them."""
+
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, address, handler):
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut every open connection down, which ends its handler's read."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the handler closed it meanwhile
 
 
 class TcpServerHandle:
@@ -581,7 +647,10 @@ class TcpServerHandle:
         return f"{host}:{port}"
 
     def shutdown(self) -> None:
+        """Stop accepting and shut down every accepted connection, so a
+        client holding one sees it closed instead of a live handler."""
         self._server.shutdown()
+        self._server.close_connections()
         self._server.server_close()
         self._thread.join(timeout=5)
 
@@ -627,32 +696,85 @@ class LocalClient:
         response = decode_response(self._dispatcher.handle(encode_request(request)))
         return _unwrap(response, request_id)
 
+    def close(self) -> None:
+        """Nothing to release; every client can be closed."""
+
 
 class TcpClient:
-    """One-connection-per-call client for ``host:port`` endpoints."""
+    """Client for a ``host:port`` endpoint over one persistent connection.
+
+    The connection opens on the first call and carries every later one;
+    calls are serialized by a lock held for the whole round trip. A call
+    that fails on a reused connection, on send or by EOF or reset before the
+    first response byte (the server closed it while idle), is sent once
+    more on a fresh connection. A call on a fresh connection is never
+    retried. Any error drops the connection, and the next call opens a new
+    one. ``close()`` releases it.
+    """
 
     def __init__(self, address: str):
         self.endpoint = address
         self._address = parse_tcp_address(address)
         self._next_id = 0
         self._lock = threading.Lock()
+        self._sock: socket.socket | None = None
+        self._reader: io.BufferedReader | None = None
 
     def call(self, method: str, params: dict | None = None) -> Any:
         with self._lock:
             self._next_id += 1
             request_id = self._next_id
-        request = WireRequest(id=request_id, method=method, params=params or {})
+            request = WireRequest(id=request_id, method=method, params=params or {})
+            frame = frame_block(encode_request(request))
+            try:
+                obj = None
+                if self._sock is not None:
+                    obj = self._round_trip(frame, reused=True)
+                if obj is None:
+                    self._connect()
+                    obj = self._round_trip(frame, reused=False)
+                return _unwrap(decode_response(obj), request_id)
+            except OSError as exc:
+                self._drop()
+                raise EndpointUnreachable(self.endpoint, str(exc)) from exc
+            except BaseException:
+                self._drop()
+                raise
+
+    def close(self) -> None:
+        """Close the connection; a later call opens a new one."""
+        with self._lock:
+            self._drop()
+
+    def _connect(self) -> None:
+        self._drop()
+        self._sock = socket.create_connection(self._address, timeout=10)
+        self._reader = self._sock.makefile("rb")
+
+    def _drop(self) -> None:
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
+
+    def _round_trip(self, frame: bytes, reused: bool) -> dict | None:
+        """Send ``frame`` and read the response frame.
+
+        Returns None only on a reused connection that failed before the
+        first response byte; on a fresh one the same failure raises.
+        """
         try:
-            with socket.create_connection(self._address, timeout=10) as conn:
-                conn.sendall(frame_block(encode_request(request)))
-                with conn.makefile("rb") as reader:
-                    obj = read_block(reader)
-        except OSError as exc:
-            raise EndpointUnreachable(self.endpoint, str(exc)) from exc
-        if obj is None:
+            self._sock.sendall(frame)
+            started = self._reader.peek(1)
+        except ConnectionError:
+            if reused:
+                return None
+            raise
+        if not started:
+            if reused:
+                return None
             raise ProtocolError(f"{self.endpoint}: connection closed without a response")
-        response = decode_response(obj)
-        return _unwrap(response, request_id)
+        return read_block(self._reader)
 
 
 def _unwrap(response: WireResponse, request_id: int) -> Any:

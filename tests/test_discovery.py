@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from dalia import reference
+from dalia.canonical import canonical_bytes
 from dalia.capabilities import CapabilityId
 from dalia.discovery import build_invoker, context_fingerprint, discover
 from dalia.errors import (
@@ -18,7 +21,10 @@ from dalia.wire import (
     DirectoryService,
     LocalClient,
     ServerConfig,
+    TcpServerHandle,
     WireServer,
+    parse_tcp_address,
+    server_config_to_json,
 )
 
 BOOKING = CapabilityId("restaurant", "booking")
@@ -175,3 +181,49 @@ def test_context_invariant_task_refs_resolve_or_flag_infeasible():
     for task_id, task in ctx.tasks.items():
         for cid in task.capabilities:
             assert cid in ctx.capabilities or not ctx.feasibility[task_id].feasible
+
+
+def test_invoker_serves_the_local_server_discovery_sealed(tmp_path, scenario_goal):
+    path = tmp_path / "food.json"
+    path.write_bytes(canonical_bytes(server_config_to_json(reference.food_server_config())))
+    _, directory = _scenario_clients()
+    ctx = discover([f"local:{path}"], directory, set(reference.SCENARIO_INPUTS))
+    rewritten = reference.food_server_config(
+        fail_on={reference.RESERVE_ID: (1,)},
+        scripts={reference.SEARCH_ID: ({"restaurant_list": ["rewritten"]},)},
+    )
+    path.write_bytes(canonical_bytes(server_config_to_json(rewritten)))
+
+    trace = execute(plan(scenario_goal, ctx), scenario_goal, ctx, build_invoker(ctx))
+    assert trace.outcome == "completed"
+    assert trace.final_bindings["restaurant_list"] == reference.RESTAURANT_LIST
+    assert trace.final_bindings["booking_confirmation"] == reference.BOOKING_CONFIRMATION
+
+
+def test_goal_over_tcp_opens_each_endpoint_once(monkeypatch, scenario_goal):
+    food = TcpServerHandle(WireServer(reference.food_server_config()), "127.0.0.1:0")
+    directory = TcpServerHandle(DirectoryService(reference.scenario_directory()), "127.0.0.1:0")
+    opened = []
+    original = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        opened.append(address)
+        return original(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    ctx = None
+    try:
+        ctx = discover(
+            [f"tcp:{food.address}"], f"tcp:{directory.address}", set(reference.SCENARIO_INPUTS)
+        )
+        trace = execute(plan(scenario_goal, ctx), scenario_goal, ctx, build_invoker(ctx))
+        assert trace.outcome == "completed"
+        assert sorted(opened) == sorted(
+            [parse_tcp_address(food.address), parse_tcp_address(directory.address)]
+        )
+    finally:
+        if ctx is not None:
+            for client in ctx.server_routes.values():
+                client.close()
+        food.shutdown()
+        directory.shutdown()

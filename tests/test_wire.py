@@ -2,18 +2,30 @@ from __future__ import annotations
 
 import io
 import json
+import socket
+import sys
+import threading
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dalia import reference
+from dalia import reference, wire
 from dalia.canonical import canonical_bytes
 from dalia.capabilities import CapabilityId
-from dalia.errors import BindFailure, ConfigInvalid, EndpointUnreachable, WireError
+from dalia.errors import (
+    BindFailure,
+    ConfigInvalid,
+    EndpointUnreachable,
+    ProtocolError,
+    WireError,
+)
 from dalia.wire import (
     HANDLER_FAULT,
     METHOD_NOT_FOUND,
     MISSING_INPUT,
+    PARSE_ERROR,
     UNKNOWN_CAPABILITY,
     DirectoryService,
     LocalClient,
@@ -121,6 +133,72 @@ def test_frame_block_round_trip():
         reader = io.BytesIO(frame_block(obj))
         assert read_block(reader) == obj
     assert read_block(io.BytesIO(b"")) is None
+
+
+def _json_body(length: int) -> bytes:
+    """A JSON object exactly ``length`` (>= 8) bytes long."""
+    return b'{"k":"' + b"x" * (length - 8) + b'"}'
+
+
+@pytest.mark.parametrize(
+    "header, body",
+    [
+        (b"-1", b"{}"),  # int() would mean read to EOF
+        (b" 12", _json_body(12)),
+        (b"12 ", _json_body(12)),
+        (b"1_0", _json_body(10)),
+        (b"+12", _json_body(12)),
+        ("\u0661\u0662".encode(), _json_body(12)),  # Arabic-Indic digits
+        (b"0x0c", _json_body(12)),
+        (b"", b"{}"),
+    ],
+)
+def test_read_block_accepts_only_unsigned_ascii_decimal_lengths(header, body):
+    with pytest.raises(ProtocolError):
+        read_block(io.BytesIO(header + b"\r\n\r\n" + body))
+
+
+class _RecordingReader(io.BytesIO):
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes: list[int] = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+def test_read_block_refuses_an_oversized_length_before_reading_the_body(monkeypatch):
+    reader = _RecordingReader(b"99999999999\r\n\r\n{}")
+    with pytest.raises(ProtocolError):
+        read_block(reader)
+    assert set(reader.sizes) == {1}  # header bytes only
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 12)
+    assert read_block(io.BytesIO(b"12\r\n\r\n" + _json_body(12))) == {"k": "xxxx"}
+    with pytest.raises(ProtocolError):
+        read_block(io.BytesIO(b"13\r\n\r\n" + _json_body(13)))
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_decoders_reject_non_finite_numbers(constant):
+    body = f'{{"jsonrpc":"2.0","id":1,"method":"dalia/server_info","params":{{"x":{constant}}}}}'
+    with pytest.raises(ProtocolError):
+        read_block(io.BytesIO(str(len(body)).encode() + b"\r\n\r\n" + body.encode()))
+    response = _food_server().handle_text(body)
+    assert response["id"] is None
+    assert response["error"]["code"] == PARSE_ERROR
+
+
+def test_deep_nesting_is_a_parse_error_on_both_transports():
+    deep = "[" * 100_000
+    with pytest.raises(ProtocolError):
+        read_block(io.BytesIO(b"100000\r\n\r\n" + deep.encode()))
+    request = canonical_bytes(encode_request(WireRequest(id=5, method="dalia/server_info", params={})))
+    stdout = io.StringIO()
+    serve_stdio(_food_server(), stdin=io.BytesIO(deep.encode() + b"\n" + request + b"\n"), stdout=stdout)
+    first, second = (json.loads(line) for line in stdout.getvalue().split("\n") if line)
+    assert first["id"] is None and first["error"]["code"] == PARSE_ERROR
+    assert second == {"jsonrpc": "2.0", "id": 5, "result": {"server_id": "mcp_food_server"}}
 
 
 # -- server methods ---------------------------------------------------------------
@@ -399,6 +477,8 @@ def test_tcp_round_trip_and_independent_servers():
         assert client_a.call("dalia/server_info") == {"server_id": "mcp_food_server"}
         assert client_b.call("dalia/server_info") == {"server_id": "second_server"}
         assert client_b.call("dalia/list_capabilities") == []
+        client_a.close()
+        client_b.close()
     finally:
         handle_a.shutdown()
         handle_b.shutdown()
@@ -408,6 +488,225 @@ def test_tcp_client_unreachable_endpoint():
     client = TcpClient("127.0.0.1:9")  # discard port: nothing listens there
     with pytest.raises(EndpointUnreachable):
         client.call("dalia/server_info")
+
+
+SEARCH_PARAMS = {
+    "capability_id": "restaurant.search",
+    "inputs": {"location": "a", "date": "b", "party_size": "c"},
+}
+
+
+def _count_connects(monkeypatch) -> list:
+    """Record the address of every socket.create_connection from now on."""
+    opened = []
+    original = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        opened.append(address)
+        return original(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return opened
+
+
+def test_tcp_client_keeps_one_connection_across_calls(monkeypatch):
+    handle = TcpServerHandle(_food_server(), "127.0.0.1:0")
+    client = TcpClient(handle.address)
+    opened = _count_connects(monkeypatch)
+    try:
+        for _ in range(25):
+            assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
+            assert client.call("dalia/invoke", SEARCH_PARAMS) == {
+                "restaurant_list": reference.RESTAURANT_LIST
+            }
+        assert len(opened) == 1
+    finally:
+        client.close()
+        handle.shutdown()
+
+
+def test_tcp_client_shared_by_threads_keeps_calls_apart(monkeypatch):
+    handle = TcpServerHandle(_food_server(), "127.0.0.1:0")
+    client = TcpClient(handle.address)
+    opened = _count_connects(monkeypatch)
+    errors = []
+
+    def worker(index):
+        try:
+            for _ in range(40):
+                # a crossed response would fail _unwrap's id check or this one
+                if index % 2:
+                    assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
+                else:
+                    assert client.call("dalia/invoke", SEARCH_PARAMS) == {
+                        "restaurant_list": reference.RESTAURANT_LIST
+                    }
+        except Exception as exc:  # collected and asserted on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+        handle.shutdown()
+    assert errors == []
+    assert len(opened) == 1
+
+
+def test_tcp_client_reconnects_once_after_a_server_restart(monkeypatch):
+    handle = TcpServerHandle(_food_server(), "127.0.0.1:0")
+    address = handle.address
+    client = TcpClient(address)
+    opened = _count_connects(monkeypatch)
+    try:
+        assert client.call("dalia/invoke", SEARCH_PARAMS)
+        handle.shutdown()
+        scripted = reference.food_server_config(
+            scripts={
+                reference.SEARCH_ID: (
+                    {"restaurant_list": ["first"]},
+                    {"restaurant_list": ["second"]},
+                )
+            }
+        )
+        handle = TcpServerHandle(WireServer(scripted), address)
+        # The new server's first invocation answers, so it saw the call once.
+        assert client.call("dalia/invoke", SEARCH_PARAMS) == {"restaurant_list": ["first"]}
+        assert client.call("dalia/invoke", SEARCH_PARAMS) == {"restaurant_list": ["second"]}
+        assert len(opened) == 2
+    finally:
+        client.close()
+        handle.shutdown()
+
+
+def test_tcp_client_never_retries_a_fresh_connection(monkeypatch):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        host, port = listener.getsockname()[:2]
+        client = TcpClient(f"{host}:{port}")
+        opened = _count_connects(monkeypatch)
+
+        def accept_and_close():
+            conn, _ = listener.accept()
+            conn.close()
+
+        closer = threading.Thread(target=accept_and_close)
+        closer.start()
+        with pytest.raises((ProtocolError, EndpointUnreachable)):
+            client.call("dalia/server_info")
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+        assert len(opened) == 1
+
+
+def test_tcp_shutdown_closes_live_connections():
+    handle = TcpServerHandle(_food_server(), "127.0.0.1:0")
+    client = TcpClient(handle.address)
+    try:
+        assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
+    finally:
+        handle.shutdown()
+    with pytest.raises(EndpointUnreachable):
+        client.call("dalia/server_info")
+
+
+def _send_raw(address: str, data: bytes) -> list[dict]:
+    """Send ``data`` on a new connection, half-close it, and read response
+    frames until the server closes the connection."""
+    frames = []
+    with socket.create_connection(wire.parse_tcp_address(address), timeout=10) as conn:
+        try:
+            conn.sendall(data)
+            conn.shutdown(socket.SHUT_WR)
+            with conn.makefile("rb") as reader:
+                while (obj := read_block(reader)) is not None:
+                    frames.append(obj)
+        except ConnectionError:
+            pass  # the server closed with part of ``data`` unread
+    return frames
+
+
+def test_tcp_oversized_frame_gets_a_parse_error_and_the_server_keeps_serving():
+    handle = TcpServerHandle(_food_server(), "127.0.0.1:0")
+    client = TcpClient(handle.address)
+    try:
+        [response] = _send_raw(handle.address, b"99999999999\r\n\r\n")
+        assert response["id"] is None
+        assert response["error"]["code"] == PARSE_ERROR
+        assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
+    finally:
+        client.close()
+        handle.shutdown()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_REQUESTS = st.fixed_dictionaries(
+    {
+        "jsonrpc": st.sampled_from(["2.0", "1.0"]),
+        "id": st.none() | st.integers() | st.text(max_size=4),
+        "method": st.sampled_from(
+            ["dalia/server_info", "dalia/list_capabilities", "dalia/invoke", "atdp/list_tasks", "x/y"]
+        ),
+        "params": _JSON_VALUES,
+    }
+).map(lambda obj: json.dumps(obj).encode())
+_BODIES = st.binary(max_size=200) | _REQUESTS | _JSON_VALUES.map(lambda v: json.dumps(v).encode())
+
+
+def _framed(body: bytes) -> bytes:
+    return str(len(body)).encode() + b"\r\n\r\n" + body
+
+
+_TCP_JUNK = st.one_of(
+    st.binary(max_size=200),
+    _BODIES.map(_framed),
+    st.lists(_BODIES.map(_framed), min_size=1, max_size=3).map(b"".join),
+    st.tuples(st.integers(0, 10**12), st.binary(max_size=64)).map(
+        lambda t: str(t[0]).encode() + b"\r\n\r\n" + t[1]
+    ),
+)
+
+
+def test_tcp_server_answers_or_closes_on_random_bytes_then_serves_a_fresh_client():
+    handle = TcpServerHandle(_food_server(), "127.0.0.1:0")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_TCP_JUNK)
+    def check(data):
+        for frame in _send_raw(handle.address, data):
+            decode_response(frame)
+        client = TcpClient(handle.address)
+        try:
+            assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
+        finally:
+            client.close()
+
+    try:
+        check()
+    finally:
+        handle.shutdown()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.lists(st.binary(max_size=80) | _BODIES, max_size=4).map(b"\n".join))
+def test_stdio_server_answers_every_line_of_random_bytes_then_the_next_request(data):
+    request = canonical_bytes(encode_request(WireRequest(id=9, method="dalia/server_info", params={})))
+    stdout = io.StringIO()
+    serve_stdio(_food_server(), stdin=io.BytesIO(data + b"\n" + request + b"\n"), stdout=stdout)
+    responses = [decode_response(json.loads(line)) for line in stdout.getvalue().split("\n") if line]
+    assert len(responses) == sum(1 for line in data.split(b"\n") if line.strip()) + 1
+    assert responses[-1] == WireResponse(id=9, result={"server_id": "mcp_food_server"})
 
 
 def test_bind_failure_on_bad_address():
@@ -428,11 +727,11 @@ def test_serve_starts_tcp_and_answers():
     from dalia.wire import serve
 
     handle = serve(reference.food_server_config(), "127.0.0.1:0")
+    client = TcpClient(handle.address)
     try:
-        assert TcpClient(handle.address).call("dalia/server_info") == {
-            "server_id": "mcp_food_server"
-        }
+        assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
     finally:
+        client.close()
         handle.shutdown()
 
 

@@ -59,7 +59,15 @@ class FeasibilityReport:
     missing_capabilities: tuple[CapabilityId, ...]
     uncovered_outputs: tuple[str, ...]
     unreachable_inputs: tuple[str, ...]
-    diagnostics: tuple[str, ...]
+
+    @property
+    def diagnostics(self) -> tuple[str, ...]:
+        """One line per defect, in the order of the three lists."""
+        return (
+            *(f"capability {cid} not in catalog" for cid in self.missing_capabilities),
+            *(f"task output {slot!r} produced by no pool capability" for slot in self.uncovered_outputs),
+            *(f"input slot {slot!r} never becomes reachable" for slot in self.unreachable_inputs),
+        )
 
 
 def parse_task(document: Any) -> TaskDeclaration:
@@ -172,16 +180,9 @@ def check_feasibility(
     unreachable = sorted(
         {slot for cap in present for slot in cap.inputs if slot not in reachable}
     )
-
-    diagnostics = (
-        [f"capability {cid} not in catalog" for cid in missing]
-        + [f"task output {slot!r} produced by no pool capability" for slot in uncovered]
-        + [f"input slot {slot!r} never becomes reachable" for slot in unreachable]
-    )
     return FeasibilityReport(
         feasible=not (missing or uncovered or unreachable),
         missing_capabilities=tuple(missing),
         uncovered_outputs=tuple(uncovered),
         unreachable_inputs=tuple(unreachable),
-        diagnostics=tuple(diagnostics),
     )

@@ -17,12 +17,11 @@ All values in this module are immutable after construction.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Any
 
-from .canonical import canonical_bytes
+from .canonical import canonical_bytes, strict_loads
 from .errors import (
     InvariantViolation,
     MalformedDocument,
@@ -120,19 +119,14 @@ class Capability:
 def load_document(document: Any, kind: str) -> dict:
     """Decode ``document`` (text, bytes, or an already-parsed dict) to a dict.
 
-    Raises MalformedDocument when the text does not parse or the root is not
-    an object.
+    Text and bytes go through the strict decoder (``strict_loads``); raises
+    MalformedDocument when it refuses them or the root is not an object.
     """
-    if isinstance(document, (bytes, bytearray)):
+    if isinstance(document, (str, bytes, bytearray)):
         try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument([f"{kind} document is not UTF-8: {exc}"]) from exc
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument([f"{kind} document is not valid JSON: {exc}"]) from exc
+            document = strict_loads(document)
+        except ValueError as exc:
+            raise MalformedDocument([f"{kind} document is not strict JSON: {exc}"]) from exc
     if not isinstance(document, dict):
         raise MalformedDocument(
             [f"{kind} document root must be an object, got {type(document).__name__}"]

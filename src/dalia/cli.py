@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .capabilities import is_identifier
+from .capabilities import is_identifier, load_document
 from .directory import empty_snapshot, load_snapshot, save_snapshot
 from .discovery import ExecutionContext, build_invoker, context_fingerprint, discover
 from .errors import (
@@ -61,13 +60,11 @@ class OrchestratorConfig:
 
 def load_orchestrator_config(path: str) -> OrchestratorConfig:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = load_document(Path(path).read_bytes(), "config")
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError("config root must be an object")
+    except MalformedDocument as exc:
+        raise UsageError(f"config {path}: {exc}") from exc
     servers = data.get("servers")
     directory = data.get("directory")
     output_format = data.get("output_format", "json")

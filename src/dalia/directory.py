@@ -10,13 +10,12 @@ Snapshots are immutable values; every mutation returns a new snapshot.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable
 
 from .canonical import canonical_bytes
-from .capabilities import CapabilityId, capability_id_problems, is_identifier
+from .capabilities import CapabilityId, capability_id_problems, is_identifier, load_document
 from .errors import (
     DirectoryError,
     InvalidCapabilityId,
@@ -247,19 +246,7 @@ def save_snapshot(snapshot: DirectorySnapshot) -> bytes:
 
 def load_snapshot(data: Any) -> DirectorySnapshot:
     """Inverse of save_snapshot; every load problem raises MalformedDocument."""
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument([f"snapshot is not UTF-8: {exc}"]) from exc
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument([f"snapshot is not valid JSON: {exc}"]) from exc
-    if not isinstance(data, dict):
-        raise MalformedDocument(["snapshot root must be an object"])
-
+    data = load_document(data, "snapshot")
     problems = [
         f"missing field {name!r}"
         for name in ("origin", "agents", "server_capabilities")

@@ -4,9 +4,9 @@ Codec and framing, the capability/task server runtime, the directory
 service, stdio and TCP transports, and the clients the orchestrator uses.
 
 Framing: newline-delimited JSON objects on stdio; on TCP each message is
-length-prefixed HTTP-style (decimal byte count, CRLF CRLF, body), at most
-MAX_FRAME_BYTES long. Anything that does not decode as strict JSON gets a
--32700 response with id null.
+length-prefixed HTTP-style (decimal byte count, CRLF CRLF, body). A stdio
+line or TCP body is at most MAX_FRAME_BYTES long. Anything that does not
+decode as strict JSON gets a -32700 response with id null.
 
 A TCP client keeps one connection per endpoint open across calls. Servers
 handle requests sequentially per connection; connections are served
@@ -16,17 +16,16 @@ concurrently. Directory writes are serialized by the service.
 from __future__ import annotations
 
 import io
-import json
 import socket
 import socketserver
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable
 
 from . import directory as directory_ops
 from .atdp import TaskDeclaration, parse_task
-from .canonical import canonical_bytes, sorted_map
+from .canonical import canonical_bytes, sorted_map, strict_loads
 from .capabilities import (
     Capability,
     CapabilityId,
@@ -178,24 +177,9 @@ def decode_response(obj: Any) -> WireResponse:
 # -- framing --------------------------------------------------------------------
 
 
-# Largest TCP frame body either side reads. A longer declared length is
-# refused before any of the body is read.
+# Largest TCP frame body or stdio line either side reads. A longer declared
+# TCP length is refused before any of the body is read.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
-
-# json.loads raises ValueError (JSONDecodeError, UnicodeDecodeError, or a
-# non-finite constant) on bad text, and RecursionError on nesting deeper than
-# the interpreter's recursion limit.
-_DECODE_ERRORS = (ValueError, RecursionError)
-
-
-def _reject_constant(name: str) -> NoReturn:
-    raise ValueError(f"{name} is not a JSON number")
-
-
-def _decode_json(data: str | bytes) -> Any:
-    """Strict JSON: UTF-8 when given bytes, and no NaN or Infinity."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return json.loads(text, parse_constant=_reject_constant)
 
 
 def frame_block(obj: dict) -> bytes:
@@ -231,9 +215,9 @@ def read_block(reader: io.BufferedIOBase) -> dict | None:
     if body is None or len(body) != length:
         raise ProtocolError("connection closed mid-frame")
     try:
-        return _decode_json(body)
-    except _DECODE_ERRORS as exc:
-        raise ProtocolError(f"frame body is not JSON: {exc}") from exc
+        return strict_loads(body)
+    except ValueError as exc:
+        raise ProtocolError(f"frame body is not strict JSON: {exc}") from exc
 
 
 # -- server configuration --------------------------------------------------------
@@ -429,8 +413,8 @@ class _Dispatcher:
     def handle_text(self, line: str | bytes) -> dict:
         """Process one raw frame (stdio transport); bytes must be UTF-8."""
         try:
-            obj = _decode_json(line)
-        except _DECODE_ERRORS as exc:
+            obj = strict_loads(line)
+        except ValueError as exc:
             return _error_response(None, PARSE_ERROR, f"parse error: {exc}")
         return self.handle(obj)
 
@@ -559,17 +543,28 @@ class DirectoryService(_Dispatcher):
 def serve_stdio(dispatcher: _Dispatcher, stdin=None, stdout=None) -> None:
     """Answer newline-delimited requests until EOF. stdout carries protocol only.
 
-    ``stdin`` yields lines as text or as bytes; the process's standard input
-    is read as bytes, so a line that is not UTF-8 gets a parse error.
+    ``stdin`` reads lines as text or as bytes; the process's standard input
+    is read as bytes, so a line that is not UTF-8 gets a parse error. A line
+    longer than MAX_FRAME_BYTES gets a parse error; the rest of it is read
+    in bounded pieces and discarded.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout
-    for line in stdin:
-        if not line.strip():
+    while line := stdin.readline(MAX_FRAME_BYTES + 1):
+        if len(line) > MAX_FRAME_BYTES and not _ends_line(line):
+            while line and not _ends_line(line):
+                line = stdin.readline(MAX_FRAME_BYTES + 1)
+            response = _error_response(None, PARSE_ERROR, f"line exceeds {MAX_FRAME_BYTES} bytes")
+        elif line.strip():
+            response = dispatcher.handle_text(line)
+        else:
             continue
-        response = dispatcher.handle_text(line)
         stdout.write(canonical_bytes(response).decode("utf-8") + "\n")
         stdout.flush()
+
+
+def _ends_line(line: str | bytes) -> bool:
+    return line.endswith(b"\n" if isinstance(line, bytes) else "\n")
 
 
 class _TcpHandler(socketserver.StreamRequestHandler):
@@ -596,10 +591,12 @@ class _TcpHandler(socketserver.StreamRequestHandler):
 
 
 class _ThreadingTcpServer(socketserver.ThreadingTCPServer):
-    """Tracks its open connections so shutdown can close them."""
+    """Tracks its open connections so shutdown can close them.
+
+    Handler threads are not daemons, so ``server_close()`` joins them.
+    """
 
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, address, handler):
         self._connections: set[socket.socket] = set()
@@ -647,8 +644,9 @@ class TcpServerHandle:
         return f"{host}:{port}"
 
     def shutdown(self) -> None:
-        """Stop accepting and shut down every accepted connection, so a
-        client holding one sees it closed instead of a live handler."""
+        """Stop accepting, shut down every accepted connection, and wait for
+        every handler to finish, so no request is still being applied when
+        this returns and a client holding a connection sees it closed."""
         self._server.shutdown()
         self._server.close_connections()
         self._server.server_close()
@@ -810,24 +808,9 @@ class CountingClient:
 def connect_server(endpoint: Any):
     """Resolve a capability-server endpoint to a client.
 
-    Accepts ``tcp:host:port``, ``local:<config.json path>`` (spins up an
-    in-process server from the file), or an already-built client object.
+    ``local:`` endpoints name a server configuration file served in-process.
     """
-    if hasattr(endpoint, "call"):
-        return endpoint
-    if not isinstance(endpoint, str):
-        raise EndpointUnreachable(repr(endpoint), "not an endpoint")
-    if endpoint.startswith("tcp:"):
-        return TcpClient(endpoint[len("tcp:"):])
-    if endpoint.startswith("local:"):
-        path = endpoint[len("local:"):]
-        try:
-            with open(path, "rb") as handle:
-                config = parse_server_config(handle.read())
-        except (OSError, ConfigInvalid) as exc:
-            raise EndpointUnreachable(endpoint, str(exc)) from exc
-        return LocalClient(WireServer(config), endpoint=endpoint)
-    raise EndpointUnreachable(endpoint, "unknown endpoint scheme")
+    return _connect(endpoint, lambda data: WireServer(parse_server_config(data)))
 
 
 def connect_directory(endpoint: Any):
@@ -835,6 +818,13 @@ def connect_directory(endpoint: Any):
 
     ``local:`` endpoints name a persisted snapshot file served in-process.
     """
+    return _connect(endpoint, lambda data: DirectoryService(directory_ops.load_snapshot(data)))
+
+
+def _connect(endpoint: Any, serve_file: Callable[[bytes], _Dispatcher]):
+    """Accepts ``tcp:host:port``, ``local:<path>`` (the file's bytes are
+    handed to ``serve_file``, whose dispatcher is served in-process), or an
+    already-built client object, returned as is."""
     if hasattr(endpoint, "call"):
         return endpoint
     if not isinstance(endpoint, str):
@@ -842,13 +832,12 @@ def connect_directory(endpoint: Any):
     if endpoint.startswith("tcp:"):
         return TcpClient(endpoint[len("tcp:"):])
     if endpoint.startswith("local:"):
-        path = endpoint[len("local:"):]
         try:
-            with open(path, "rb") as handle:
-                snapshot = directory_ops.load_snapshot(handle.read())
-        except (OSError, MalformedDocument) as exc:
+            with open(endpoint[len("local:"):], "rb") as handle:
+                dispatcher = serve_file(handle.read())
+        except (OSError, ConfigInvalid, MalformedDocument) as exc:
             raise EndpointUnreachable(endpoint, str(exc)) from exc
-        return LocalClient(DirectoryService(snapshot), endpoint=endpoint)
+        return LocalClient(dispatcher, endpoint=endpoint)
     raise EndpointUnreachable(endpoint, "unknown endpoint scheme")
 
 

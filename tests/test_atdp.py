@@ -98,7 +98,10 @@ def test_feasibility_missing_capability_forces_both_defects():
     assert not report.feasible
     assert report.missing_capabilities == (CapabilityId("restaurant", "reserve"),)
     assert report.uncovered_outputs == ("booking_confirmation",)
-    assert report.diagnostics
+    assert report.diagnostics == (
+        "capability restaurant.reserve not in catalog",
+        "task output 'booking_confirmation' produced by no pool capability",
+    )
 
 
 def test_feasibility_trivially_satisfied_closure():
@@ -128,6 +131,10 @@ def test_feasibility_unreachable_input_detected():
     assert "location" in report.unreachable_inputs
     # restaurant_list is unreachable too: search never fires
     assert "restaurant_list" in report.unreachable_inputs
+    assert report.diagnostics == (
+        "input slot 'location' never becomes reachable",
+        "input slot 'restaurant_list' never becomes reachable",
+    )
 
 
 def test_closure_monotonicity_over_random_instances():

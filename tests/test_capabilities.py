@@ -4,11 +4,15 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dalia.canonical import canonical_bytes
 from dalia.capabilities import (
     Capability,
     CapabilityId,
     canonical_serialize,
+    load_document,
     parse_capability,
     validate_capability,
 )
@@ -74,6 +78,31 @@ def test_parse_rejects_unparseable_text():
         parse_capability("{not json")
     with pytest.raises(MalformedDocument):
         parse_capability("[1, 2]")
+
+
+# JSON text as json.dumps writes it, with NaN, Infinity and escaped lone
+# surrogates among the values, which strict JSON must refuse.
+_LOOSE_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(st.characters(), max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+).map(lambda value: json.dumps(value).encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=64) | _LOOSE_JSON)
+@example(b"[" * 100_000)
+@example(b'{"x": NaN}')
+@example(b'{"x": -1e999}')
+@example(b'{"x": "\\ud800"}')
+@example(b'{"x": "\xff"}')
+def test_load_document_returns_a_re_encodable_dict_or_raises_malformed(data):
+    try:
+        document = load_document(data, "x")
+    except MalformedDocument:
+        return
+    assert isinstance(document, dict)
+    assert load_document(canonical_bytes(document), "x") == document
 
 
 def test_parse_rejects_unknown_field():

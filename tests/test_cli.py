@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dalia import reference
 from dalia.canonical import canonical_bytes
 from dalia.cli import main
@@ -302,3 +304,54 @@ def test_checked_in_demo_configs_work():
     )
     assert code == 0
     assert len(json.loads(output)["nodes"]) == 2
+
+
+_DEEP = b"[" * 200_000
+
+
+def _food_server_with_number(literal: str) -> bytes:
+    """The food server config with ``literal`` as a value in a handler script."""
+    doc = server_config_to_json(reference.food_server_config())
+    doc["handlers"]["restaurant.search"]["script"] = [{"restaurant_list": "__number__"}]
+    return json.dumps(doc).replace('"__number__"', literal).encode()
+
+
+@pytest.mark.parametrize(
+    ("target", "content", "command", "expected"),
+    [
+        ("food_server.json", _DEEP, "run", 2),
+        ("directory.json", _DEEP, "run", 2),
+        ("food_server.json", _food_server_with_number("NaN"), "run", 2),
+        ("food_server.json", _food_server_with_number("1e999"), "run", 2),
+        ("orchestrator.json", _DEEP, "run", 1),
+        ("orchestrator.json", b'{"servers": ["local:food_server.json"], "directory": "\xff"}', "run", 1),
+        ("food_server.json", _DEEP, "server", 1),
+        ("directory.json", _DEEP, "directory", 1),
+    ],
+    ids=[
+        "local-server-deep",
+        "local-snapshot-deep",
+        "local-server-nan",
+        "local-server-overflow",
+        "config-deep",
+        "config-not-utf8",
+        "server-serve-deep",
+        "directory-serve-deep",
+    ],
+)
+def test_unreadable_documents_exit_with_their_documented_code(
+    tmp_path, capsys, target, content, command, expected
+):
+    config = write_scenario_configs(tmp_path)
+    (tmp_path / target).write_bytes(content)
+    args = {
+        "run": ["run", "--config", str(config), "--intent", "book_restaurant",
+                "--inputs", *SCENARIO_INPUT_ARGS],
+        "server": ["server", "serve", "--config", str(tmp_path / target)],
+        "directory": ["directory", "serve", "--snapshot", str(tmp_path / target)],
+    }[command]
+    code, output = run_cli(args)
+    assert code == expected
+    assert output == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert (tmp_path / target).read_bytes() == content

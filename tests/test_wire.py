@@ -5,6 +5,7 @@ import json
 import socket
 import sys
 import threading
+import time
 from random import Random
 
 import pytest
@@ -179,7 +180,7 @@ def test_read_block_refuses_an_oversized_length_before_reading_the_body(monkeypa
         read_block(io.BytesIO(b"13\r\n\r\n" + _json_body(13)))
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
 def test_decoders_reject_non_finite_numbers(constant):
     body = f'{{"jsonrpc":"2.0","id":1,"method":"dalia/server_info","params":{{"x":{constant}}}}}'
     with pytest.raises(ProtocolError):
@@ -617,6 +618,36 @@ def test_tcp_shutdown_closes_live_connections():
         client.call("dalia/server_info")
 
 
+def test_tcp_shutdown_waits_for_running_handlers():
+    started, finished = threading.Event(), threading.Event()
+
+    def slow(params):
+        started.set()
+        time.sleep(1.5)  # longer than serve_forever's 0.5 s poll, which shutdown() waits out
+        finished.set()
+        return {}
+
+    dispatcher = wire._Dispatcher()
+    dispatcher._methods = {"test/slow": slow}
+    handle = TcpServerHandle(dispatcher, "127.0.0.1:0")
+    client = TcpClient(handle.address)
+
+    def call():
+        with pytest.raises((ProtocolError, EndpointUnreachable)):
+            client.call("test/slow")  # the connection is shut down mid-call
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    try:
+        assert started.wait(timeout=10)
+        handle.shutdown()
+        assert finished.is_set()
+    finally:
+        caller.join(timeout=10)
+        client.close()
+    assert not caller.is_alive()
+
+
 def _send_raw(address: str, data: bytes) -> list[dict]:
     """Send ``data`` on a new connection, half-close it, and read response
     frames until the server closes the connection."""
@@ -707,6 +738,22 @@ def test_stdio_server_answers_every_line_of_random_bytes_then_the_next_request(d
     responses = [decode_response(json.loads(line)) for line in stdout.getvalue().split("\n") if line]
     assert len(responses) == sum(1 for line in data.split(b"\n") if line.strip()) + 1
     assert responses[-1] == WireResponse(id=9, result={"server_id": "mcp_food_server"})
+
+
+def test_stdio_line_longer_than_the_limit_gets_a_parse_error_and_the_next_line_is_served(
+    monkeypatch,
+):
+    request = canonical_bytes(encode_request(WireRequest(id=3, method="dalia/server_info", params={})))
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", len(request))
+    stdin = io.BytesIO(request + b"\n" + request + b" \n" + b"x" * 100 + b"\n" + request)
+    stdout = io.StringIO()
+    serve_stdio(_food_server(), stdin=stdin, stdout=stdout)
+    served = {"jsonrpc": "2.0", "id": 3, "result": {"server_id": "mcp_food_server"}}
+    responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    assert responses[0] == responses[3] == served
+    for response in responses[1:3]:
+        assert response["id"] is None and response["error"]["code"] == PARSE_ERROR
+    assert len(responses) == 4
 
 
 def test_bind_failure_on_bad_address():

@@ -26,12 +26,10 @@ from .directory import (
     resolve_capability,
     save_snapshot,
 )
-from .discovery import ExecutionContext, build_invoker, context_fingerprint, discover
+from .discovery import ExecutionContext, build_invoker, context_fingerprint, discover, feasibility
 from .errors import DaliaError, ValidationError, ValidationReport
 from .executor import (
-    BindingEnv,
     ExecutionTrace,
-    FactSet,
     StepRecord,
     canonical_order,
     canonical_serialize_trace,
@@ -64,4 +62,5 @@ from .wire import (
     serve,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Classes and functions only: importing a submodule also binds its name here.
+__all__ = sorted(name for name, value in globals().items() if callable(value) and name[0] != "_")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .capabilities import is_identifier, load_document
 from .directory import empty_snapshot, load_snapshot, save_snapshot
-from .discovery import ExecutionContext, build_invoker, context_fingerprint, discover
+from .discovery import ExecutionContext, build_invoker, context_fingerprint, discover, feasibility
 from .errors import (
     BindFailure,
     ConfigInvalid,
@@ -114,30 +114,35 @@ def build_parser() -> _Parser:
     p_discover = commands.add_parser("discover", help="query endpoints and print the sealed context")
     p_discover.add_argument("--config", required=True)
     p_discover.add_argument("--inputs", nargs="*", default=[], metavar="slot=value")
+    p_discover.set_defaults(handler=cmd_discover)
 
     p_plan = commands.add_parser("plan", help="synthesize and print the task graph")
     p_plan.add_argument("--config", required=True)
     p_plan.add_argument("--intent", required=True)
     p_plan.add_argument("--inputs", nargs="*", default=[], metavar="slot=value")
     p_plan.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+    p_plan.set_defaults(handler=cmd_plan)
 
     p_run = commands.add_parser("run", help="plan and execute, printing the trace")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--intent", required=True)
     p_run.add_argument("--inputs", nargs="*", default=[], metavar="slot=value")
     p_run.add_argument("--trace", help="write the trace to this file instead of stdout")
+    p_run.set_defaults(handler=cmd_run)
 
     p_server = commands.add_parser("server", help="capability server commands")
     server_commands = p_server.add_subparsers(dest="server_command", required=True)
     p_server_serve = server_commands.add_parser("serve")
     p_server_serve.add_argument("--config", required=True)
     p_server_serve.add_argument("--tcp", metavar="host:port")
+    p_server_serve.set_defaults(handler=cmd_server_serve)
 
     p_dir = commands.add_parser("directory", help="directory service commands")
     dir_commands = p_dir.add_subparsers(dest="directory_command", required=True)
     p_dir_serve = dir_commands.add_parser("serve")
     p_dir_serve.add_argument("--snapshot", help="load/save the directory snapshot here")
     p_dir_serve.add_argument("--tcp", metavar="host:port")
+    p_dir_serve.set_defaults(handler=cmd_directory_serve)
 
     return parser
 
@@ -160,16 +165,14 @@ def cmd_discover(args, out) -> int:
     bindings = parse_inputs(args.inputs)
     ctx = discover(config.servers, config.directory, set(bindings))
     _close_routes(ctx)
-    capability_ids = sorted(cid.render() for cid in ctx.capabilities)
-    task_ids = sorted(tid.render() for tid in ctx.tasks)
-    agent_ids = sorted(ctx.directory.agents)
-    feasible = sorted(
-        tid.render() for tid, report in ctx.feasibility.items() if report.feasible
-    )
-    out.write(f"capabilities ({len(capability_ids)}): {', '.join(capability_ids)}\n")
-    out.write(f"tasks ({len(task_ids)}): {', '.join(task_ids)}\n")
-    out.write(f"agents ({len(agent_ids)}): {', '.join(agent_ids)}\n")
-    out.write(f"feasible tasks ({len(feasible)}): {', '.join(feasible)}\n")
+    reports = feasibility(ctx)
+    for label, names in (
+        ("capabilities", sorted(cid.render() for cid in ctx.capabilities)),
+        ("tasks", sorted(tid.render() for tid in ctx.tasks)),
+        ("agents", sorted(ctx.directory.agents)),
+        ("feasible tasks", sorted(tid.render() for tid in reports if reports[tid].feasible)),
+    ):
+        out.write(f"{label} ({len(names)}): {', '.join(names)}\n")
     out.write(f"fingerprint: {context_fingerprint(ctx)}\n")
     return EXIT_OK
 
@@ -215,14 +218,7 @@ def cmd_server_serve(args, out) -> int:
         config = parse_server_config(Path(args.config).read_bytes())
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {args.config}: {exc}") from exc
-    server = WireServer(config)
-    if args.tcp:
-        handle = TcpServerHandle(server, args.tcp)
-        print(f"serving {config.server_id} on {handle.address}", file=sys.stderr)
-        _block_until_interrupt(handle)
-    else:
-        with contextlib.suppress(KeyboardInterrupt):
-            serve_stdio(server)
+    _serve(WireServer(config), args.tcp, config.server_id)
     return EXIT_OK
 
 
@@ -235,24 +231,24 @@ def cmd_directory_serve(args, out) -> int:
             raise ConfigInvalid(f"cannot load snapshot {args.snapshot}: {exc}") from exc
     service = DirectoryService(snapshot)
     try:
-        if args.tcp:
-            handle = TcpServerHandle(service, args.tcp)
-            print(f"serving directory on {handle.address}", file=sys.stderr)
-            _block_until_interrupt(handle)
-        else:
-            with contextlib.suppress(KeyboardInterrupt):
-                serve_stdio(service)
+        _serve(service, args.tcp, "directory")
     finally:
         if args.snapshot:
             Path(args.snapshot).write_bytes(save_snapshot(service.snapshot) + b"\n")
     return EXIT_OK
 
 
-def _block_until_interrupt(handle: TcpServerHandle) -> None:
+def _serve(dispatcher, address: str | None, name: str) -> None:
+    """Serve on TCP at ``address`` until interrupted, or on stdio until EOF."""
+    if not address:
+        with contextlib.suppress(KeyboardInterrupt):
+            serve_stdio(dispatcher)
+        return
+    handle = TcpServerHandle(dispatcher, address)
+    print(f"serving {name} on {handle.address}", file=sys.stderr)
     try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
+        with contextlib.suppress(KeyboardInterrupt):
+            threading.Event().wait()
     finally:
         handle.shutdown()
 
@@ -262,27 +258,14 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "discover":
-            return cmd_discover(args, out)
-        if args.command == "plan":
-            return cmd_plan(args, out)
-        if args.command == "run":
-            return cmd_run(args, out)
-        if args.command == "server":
-            return cmd_server_serve(args, out)
-        if args.command == "directory":
-            return cmd_directory_serve(args, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.handler(args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigInvalid as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BindFailure as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DISCOVERY
-    except DiscoveryError as exc:
+    except (BindFailure, DiscoveryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DISCOVERY
     except PlanningError as exc:

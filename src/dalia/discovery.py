@@ -41,7 +41,6 @@ class ExecutionContext:
     capabilities: dict[CapabilityId, tuple[Capability, str]]
     tasks: dict[CapabilityId, TaskDeclaration]
     directory: DirectorySnapshot
-    feasibility: dict[CapabilityId, FeasibilityReport]
     provided_inputs: frozenset[str]
     server_routes: dict[str, Any] = field(default_factory=dict)
     sealed_at: int = 0
@@ -131,23 +130,25 @@ def discover(
     except ValidationError as exc:
         raise ProtocolError(f"directory returned a bad snapshot: {exc}") from exc
 
-    catalog = [cap for cap, _ in capabilities.values()]
-    feasibility = {
-        task_id: check_feasibility(task, catalog, provided)
-        for task_id, task in tasks.items()
-    }
-
     with _seal_lock:
         sealed_at = next(_seal_counter)
     return ExecutionContext(
         capabilities=capabilities,
         tasks=tasks,
         directory=snapshot,
-        feasibility=feasibility,
         provided_inputs=provided,
         server_routes=server_routes,
         sealed_at=sealed_at,
     )
+
+
+def feasibility(ctx: ExecutionContext) -> dict[CapabilityId, FeasibilityReport]:
+    """Each declared task's feasibility over the sealed catalog and inputs."""
+    catalog = [cap for cap, _ in ctx.capabilities.values()]
+    return {
+        task_id: check_feasibility(task, catalog, ctx.provided_inputs)
+        for task_id, task in ctx.tasks.items()
+    }
 
 
 def _endpoint_name(client: Any) -> str:

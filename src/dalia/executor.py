@@ -2,9 +2,11 @@
 
 Nodes run sequentially in the canonical topological order; intermediate
 results propagate through a write-once binding environment; preconditions
-are checked against a monotonically growing fact set. Failure policy is
-fail-fast: the failing step is recorded, every not-yet-run step is skipped,
-and the trace outcome is ``aborted``. No retries, no runtime discovery.
+are checked against a monotonically growing fact set. Write-once is checked
+for every output of a step before any of them is bound, so a failed step
+binds nothing. Failure policy is fail-fast: the failing step is recorded,
+every not-yet-run step is skipped, and the trace outcome is ``aborted``.
+No retries, no runtime discovery.
 
 One execution owns its binding environment and fact set exclusively;
 independent executions may run concurrently.
@@ -16,18 +18,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from .canonical import canonical_bytes, sha256_hex, sorted_map
-from .capabilities import CapabilityId
+from .capabilities import Capability, CapabilityId
 from .discovery import ExecutionContext
-from .errors import (
-    CycleDetected,
-    DaliaError,
-    InvalidGraph,
-    ValidationReport,
-)
+from .errors import DaliaError, InvalidGraph, ValidationReport
 from .planner import (
     Goal,
+    Node,
     TaskGraph,
-    _try_canonical_order,
+    canonical_order,
     canonical_serialize_graph,
     slot_known_fact,
     structural_violations,
@@ -39,49 +37,6 @@ STATUS_SKIPPED = "skipped"
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_ABORTED = "aborted"
-
-
-class SlotRebound(DaliaError):
-    def __init__(self, slot: str):
-        self.slot = slot
-        super().__init__(f"slot {slot!r} is already bound")
-
-
-class BindingEnv:
-    """Write-once map from slot names to opaque value payloads."""
-
-    def __init__(self, initial: dict[str, Any] | None = None):
-        self._values: dict[str, Any] = dict(initial or {})
-
-    def bind(self, slot: str, value: Any) -> None:
-        if slot in self._values:
-            raise SlotRebound(slot)
-        self._values[slot] = value
-
-    def __contains__(self, slot: str) -> bool:
-        return slot in self._values
-
-    def get(self, slot: str) -> Any:
-        return self._values[slot]
-
-    def as_dict(self) -> dict[str, Any]:
-        return sorted_map(self._values)
-
-
-class FactSet:
-    """Grow-only set of fact tokens."""
-
-    def __init__(self, initial: set[str] | None = None):
-        self._facts: set[str] = set(initial or ())
-
-    def add_all(self, facts) -> None:
-        self._facts.update(facts)
-
-    def missing(self, required) -> list[str]:
-        return [fact for fact in required if fact not in self._facts]
-
-    def as_set(self) -> set[str]:
-        return set(self._facts)
 
 
 @dataclass(frozen=True)
@@ -130,15 +85,6 @@ def graph_fingerprint(graph: TaskGraph) -> str:
     return sha256_hex(canonical_serialize_graph(graph))
 
 
-def canonical_order(graph: TaskGraph) -> list[int]:
-    """The unique topological order with the ready set sorted by
-    (capability id, node id)."""
-    order, leftover = _try_canonical_order(graph.nodes, graph.edges)
-    if leftover:
-        raise CycleDetected(sorted(cid.render() for cid in leftover))
-    return order
-
-
 def execute(graph: TaskGraph, goal: Goal, ctx: ExecutionContext, invoker) -> ExecutionTrace:
     """Run the graph; all failure is trace content, never an exception.
 
@@ -155,102 +101,64 @@ def execute(graph: TaskGraph, goal: Goal, ctx: ExecutionContext, invoker) -> Exe
         raise InvalidGraph(defects)
     order = canonical_order(graph)
 
-    env = BindingEnv(goal.bindings)
-    facts = FactSet(goal.initial_fact_set())
+    bindings = dict(goal.bindings)
+    facts = goal.initial_fact_set()
     steps: list[StepRecord] = []
     aborted = False
 
     for node_id in order:
         node = graph.node(node_id)
-        cap = ctx.capability(node.capability_id)
         if aborted:
-            steps.append(
-                StepRecord(
-                    node_id=node.node_id,
-                    capability_id=node.capability_id,
-                    agent_id=node.agent_id,
-                    status=STATUS_SKIPPED,
-                    inputs_used={},
-                    outputs_received={},
-                )
-            )
-            continue
-
-        inputs: dict[str, Any] = {}
-        failure = None
-        for slot in cap.inputs:
-            if slot not in env:
-                failure = f"input slot {slot!r} is not bound"
-                break
-            inputs[slot] = env.get(slot)
-
-        if failure is None:
-            unmet = facts.missing(cap.preconditions)
-            if unmet:
-                failure = f"precondition not satisfied: {unmet[0]!r}"
-
-        outputs: dict[str, Any] = {}
-        if failure is None:
-            try:
-                response = invoker.invoke(node.server_id, node.capability_id, inputs)
-            except DaliaError as exc:
-                failure = f"invocation failed: {exc}"
-            else:
-                failure, outputs = _check_output_contract(cap.outputs, response)
-
-        if failure is None:
-            try:
-                for slot in cap.outputs:
-                    env.bind(slot, outputs[slot])
-            except SlotRebound as exc:
-                failure = str(exc)
-
-        if failure is None:
-            facts.add_all(cap.postconditions)
-            facts.add_all(slot_known_fact(slot) for slot in cap.outputs)
-            steps.append(
-                StepRecord(
-                    node_id=node.node_id,
-                    capability_id=node.capability_id,
-                    agent_id=node.agent_id,
-                    status=STATUS_SUCCEEDED,
-                    inputs_used=inputs,
-                    outputs_received=outputs,
-                )
-            )
+            status, inputs, outputs, failure = STATUS_SKIPPED, {}, {}, None
         else:
-            aborted = True
-            steps.append(
-                StepRecord(
-                    node_id=node.node_id,
-                    capability_id=node.capability_id,
-                    agent_id=node.agent_id,
-                    status=STATUS_FAILED,
-                    inputs_used=inputs,
-                    outputs_received={},
-                    error=failure,
-                )
+            inputs, outputs, failure = _run_node(
+                node, ctx.capability(node.capability_id), bindings, facts, invoker
             )
+            aborted = failure is not None
+            status = STATUS_FAILED if aborted else STATUS_SUCCEEDED
+        steps.append(
+            StepRecord(node_id, node.capability_id, node.agent_id, status, inputs, outputs, failure)
+        )
 
     return ExecutionTrace(
         graph_fingerprint=graph_fingerprint(graph),
         steps=tuple(steps),
         outcome=OUTCOME_ABORTED if aborted else OUTCOME_COMPLETED,
-        final_bindings=env.as_dict(),
+        final_bindings=sorted_map(bindings),
     )
 
 
-def _check_output_contract(
-    declared: tuple[str, ...], response: dict
-) -> tuple[str | None, dict[str, Any]]:
-    """A response must contain exactly the declared output slots."""
-    missing = [slot for slot in declared if slot not in response]
+def _run_node(
+    node: Node, cap: Capability, bindings: dict[str, Any], facts: set[str], invoker
+) -> tuple[dict[str, Any], dict[str, Any], str | None]:
+    """(inputs used, outputs received, failure); only success adds to the state."""
+    inputs: dict[str, Any] = {}
+    for slot in cap.inputs:
+        if slot not in bindings:
+            return inputs, {}, f"input slot {slot!r} is not bound"
+        inputs[slot] = bindings[slot]
+    for fact in cap.preconditions:
+        if fact not in facts:
+            return inputs, {}, f"precondition not satisfied: {fact!r}"
+    try:
+        outputs = invoker.invoke(node.server_id, node.capability_id, inputs)
+    except DaliaError as exc:
+        return inputs, {}, f"invocation failed: {exc}"
+    # the response must carry exactly the declared outputs, none bound yet
+    missing = [slot for slot in cap.outputs if slot not in outputs]
     if missing:
-        return f"missing declared output slot(s): {', '.join(missing)}", {}
-    extra = sorted(set(response) - set(declared))
+        return inputs, {}, f"missing declared output slot(s): {', '.join(missing)}"
+    extra = sorted(set(outputs) - set(cap.outputs))
     if extra:
-        return f"undeclared output slot(s): {', '.join(extra)}", {}
-    return None, dict(response)
+        return inputs, {}, f"undeclared output slot(s): {', '.join(extra)}"
+    rebound = [slot for slot in cap.outputs if slot in bindings]
+    if rebound:
+        return inputs, {}, f"slot {rebound[0]!r} is already bound"
+    outputs = dict(outputs)
+    bindings.update(outputs)
+    facts.update(cap.postconditions)
+    facts.update(slot_known_fact(slot) for slot in cap.outputs)
+    return inputs, outputs, None
 
 
 def replay_check(trace: ExecutionTrace, graph: TaskGraph) -> ValidationReport:
@@ -260,7 +168,7 @@ def replay_check(trace: ExecutionTrace, graph: TaskGraph) -> ValidationReport:
     if trace.graph_fingerprint != graph_fingerprint(graph):
         report.add("trace fingerprint does not match the graph")
 
-    order, leftover = _try_canonical_order(graph.nodes, graph.edges)
+    order, leftover = graph.ordering
     if leftover:
         report.add("graph is cyclic")
         return report
@@ -268,7 +176,7 @@ def replay_check(trace: ExecutionTrace, graph: TaskGraph) -> ValidationReport:
         report.add("step order does not equal the canonical topological order")
 
     _check_status_shape(trace, report)
-    _check_write_once(trace, report)
+    _check_write_once(trace, graph, report)
     _check_data_flow(trace, graph, report)
     return report
 
@@ -295,8 +203,11 @@ def _check_status_shape(trace: ExecutionTrace, report: ValidationReport) -> None
             report.add(f"skipped step {step.node_id} carries inputs or outputs")
 
 
-def _check_write_once(trace: ExecutionTrace, report: ValidationReport) -> None:
+def _check_write_once(
+    trace: ExecutionTrace, graph: TaskGraph, report: ValidationReport
+) -> None:
     producers: dict[str, int] = {}
+    bound = set(graph.source_bindings)
     for step in trace.steps:
         for slot in step.outputs_received:
             if slot in producers:
@@ -306,11 +217,18 @@ def _check_write_once(trace: ExecutionTrace, report: ValidationReport) -> None:
                 )
             producers[slot] = step.node_id
         if step.status == STATUS_SUCCEEDED:
+            bound.update(step.outputs_received)
             for slot, value in step.outputs_received.items():
                 if slot not in trace.final_bindings:
                     report.add(f"output slot {slot!r} missing from final bindings")
                 elif trace.final_bindings[slot] != value:
                     report.add(f"final binding of {slot!r} differs from the step output")
+    for slot in trace.final_bindings:
+        if slot not in bound:
+            report.add(
+                f"final binding {slot!r} is neither a source binding nor an "
+                "output of a succeeded step"
+            )
 
 
 def _check_data_flow(

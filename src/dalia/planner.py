@@ -19,7 +19,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any
 
 from .atdp import TaskDeclaration
 from .canonical import canonical_bytes
@@ -108,6 +108,37 @@ class TaskGraph:
         """The first node carrying ``node_id``; raises KeyError if none does."""
         return self._nodes_by_id[node_id]
 
+    @cached_property
+    def ordering(self) -> tuple[list[int], list[CapabilityId]]:
+        """(order, leftover capability ids), computed once per graph; callers
+        must not mutate it. Ready nodes pop by (rendered capability id, node
+        id); a non-empty leftover is a cycle through those capabilities."""
+        by_id = {node.node_id: node for node in self.nodes}
+        key = {nid: (node.capability_id.render(), nid) for nid, node in by_id.items()}
+        indegree = dict.fromkeys(by_id, 0)
+        successors: dict[int, list[int]] = {nid: [] for nid in by_id}
+        for edge in self.edges:
+            # Edges with dangling endpoints are reported by structural checks.
+            if edge.from_node in indegree and edge.to_node in indegree:
+                indegree[edge.to_node] += 1
+                successors[edge.from_node].append(edge.to_node)
+
+        ready = [key[nid] for nid, deg in indegree.items() if deg == 0]
+        heapq.heapify(ready)
+
+        order: list[int] = []
+        while ready:
+            _, nid = heapq.heappop(ready)
+            order.append(nid)
+            for succ in successors[nid]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    heapq.heappush(ready, key[succ])
+
+        ordered = set(order)
+        leftover = [by_id[nid].capability_id for nid in indegree if nid not in ordered]
+        return order, leftover
+
 
 def resolve_goal(goal: Goal, ctx: ExecutionContext) -> TaskDeclaration:
     """The unique declared task whose intent matches the goal's exactly."""
@@ -191,59 +222,31 @@ def synthesize_graph(task: TaskDeclaration, goal: Goal, ctx: ExecutionContext) -
         source_bindings=source_bindings,
     )
 
-    order, leftover = _try_canonical_order(graph.nodes, graph.edges)
-    if leftover:
-        raise CycleDetected(sorted(cid.render() for cid in leftover))
-
-    defect = _first_precondition_defect(graph, order, goal, ctx)
+    canonical_order(graph)  # raises CycleDetected
+    defect = _first_precondition_defect(graph, goal, ctx)
     if defect is not None:
         fact, capability_id = defect
         raise PreconditionUnschedulable(fact, capability_id.render())
     return graph
 
 
-def _try_canonical_order(
-    nodes: Sequence[Node], edges: Sequence[Edge]
-) -> tuple[list[int], list[CapabilityId]]:
-    """Topological sort popping ready nodes by (rendered capability id, node id).
-
-    Returns (order, leftover-capability-ids); a non-empty leftover means the
-    edges contain a cycle through those capabilities.
-    """
-    by_id = {node.node_id: node for node in nodes}
-    key = {nid: (node.capability_id.render(), nid) for nid, node in by_id.items()}
-    indegree = dict.fromkeys(by_id, 0)
-    successors: dict[int, list[int]] = {nid: [] for nid in by_id}
-    for edge in edges:
-        # Edges with dangling endpoints are reported by structural checks.
-        if edge.from_node in indegree and edge.to_node in indegree:
-            indegree[edge.to_node] += 1
-            successors[edge.from_node].append(edge.to_node)
-
-    ready = [key[nid] for nid, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
-
-    order: list[int] = []
-    while ready:
-        _, nid = heapq.heappop(ready)
-        order.append(nid)
-        for succ in successors[nid]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, key[succ])
-
-    ordered = set(order)
-    leftover = [by_id[nid].capability_id for nid in indegree if nid not in ordered]
-    return order, leftover
+def canonical_order(graph: TaskGraph) -> list[int]:
+    """The unique topological order with the ready set sorted by
+    (capability id, node id); raises CycleDetected on a cycle."""
+    order, leftover = graph.ordering
+    if leftover:
+        raise CycleDetected(sorted(cid.render() for cid in leftover))
+    return list(order)
 
 
 def _first_precondition_defect(
-    graph: TaskGraph, order: Sequence[int], goal: Goal, ctx: ExecutionContext
+    graph: TaskGraph, goal: Goal, ctx: ExecutionContext
 ) -> tuple[str, CapabilityId] | None:
-    """Simulate the canonical order; first precondition that never holds.
-    Undeclared capabilities are skipped: structural checks report them."""
+    """Simulate the canonical order of an acyclic graph; first precondition
+    that never holds. Undeclared capabilities are skipped: structural checks
+    report them."""
     facts = goal.initial_fact_set()
-    for node_id in order:
+    for node_id in graph.ordering[0]:
         cid = graph.node(node_id).capability_id
         if cid not in ctx.capabilities:
             continue
@@ -278,9 +281,8 @@ def validate_graph(graph: TaskGraph, goal: Goal, ctx: ExecutionContext) -> Valid
     report = ValidationReport()
     report.violations += structural_violations(graph, ctx)
 
-    order, leftover = _try_canonical_order(graph.nodes, graph.edges)
-    if not leftover:
-        defect = _first_precondition_defect(graph, order, goal, ctx)
+    if not graph.ordering[1]:
+        defect = _first_precondition_defect(graph, goal, ctx)
         if defect is not None:
             fact, capability_id = defect
             report.add(
@@ -305,7 +307,7 @@ def structural_violations(graph: TaskGraph, ctx: ExecutionContext) -> list[str]:
             )
         seen_caps.add(node.capability_id)
 
-    _, leftover = _try_canonical_order(graph.nodes, graph.edges)
+    _, leftover = graph.ordering
     if leftover:
         violations.append(
             "cycle through " + ", ".join(sorted(cid.render() for cid in leftover))

@@ -624,6 +624,11 @@ class _ThreadingTcpServer(socketserver.ThreadingTCPServer):
                 pass  # the handler closed it meanwhile
 
 
+# How often serve_forever checks for a shutdown() request, which waits for
+# the next check: an idle server stops within this many seconds.
+SHUTDOWN_POLL_SECONDS = 0.05
+
+
 class TcpServerHandle:
     """A running TCP wire server; ``shutdown()`` stops it."""
 
@@ -635,7 +640,9 @@ class TcpServerHandle:
             raise BindFailure(address, str(exc)) from exc
         self._server.dispatcher = dispatcher  # type: ignore[attr-defined]
         self.dispatcher = dispatcher
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(SHUTDOWN_POLL_SECONDS,), daemon=True
+        )
         self._thread.start()
 
     @property
@@ -675,6 +682,11 @@ def serve(config: ServerConfig, transport: str) -> TcpServerHandle | None:
 
 
 # -- clients ---------------------------------------------------------------------
+
+
+# Seconds a TCP client waits to connect and then for each send or read; a
+# silent endpoint is unreachable after that. Read at every connect.
+CLIENT_TIMEOUT_SECONDS = 10.0
 
 
 class LocalClient:
@@ -746,7 +758,7 @@ class TcpClient:
 
     def _connect(self) -> None:
         self._drop()
-        self._sock = socket.create_connection(self._address, timeout=10)
+        self._sock = socket.create_connection(self._address, timeout=CLIENT_TIMEOUT_SECONDS)
         self._reader = self._sock.makefile("rb")
 
     def _drop(self) -> None:

@@ -18,7 +18,6 @@ from dalia.directory import (
     register_agent,
 )
 from dalia.discovery import ExecutionContext
-from dalia.atdp import check_feasibility
 
 
 # -- feasibility: brute-force firing closure ------------------------------------
@@ -313,16 +312,10 @@ def random_instance(rng: Random, with_facts: bool = False) -> ExecutionContext:
         )
 
     provided = frozenset(rng.sample(SLOTS, rng.randint(0, 4)))
-    catalog = list(caps)
-    feasibility = {
-        task_id: check_feasibility(task, catalog, provided)
-        for task_id, task in tasks.items()
-    }
     return ExecutionContext(
         capabilities={cap.capability_id: (cap, providers[cap.capability_id]) for cap in caps},
         tasks=tasks,
         directory=snapshot,
-        feasibility=feasibility,
         provided_inputs=provided,
         server_routes={},
         sealed_at=0,

@@ -36,7 +36,7 @@ from dalia.directory import (
     resolve_capability,
     save_snapshot,
 )
-from dalia.discovery import build_invoker, discover
+from dalia.discovery import build_invoker, discover, feasibility
 from dalia.errors import ConfigInvalid, PlanningError, WireError
 from dalia.executor import (
     OUTCOME_ABORTED,
@@ -222,6 +222,7 @@ def test_criterion_4_oracle_equivalence():
         for _ in range(1000):
             ctx = random_instance(rng)
             catalog = [cap for cap, _ in ctx.capabilities.values()]
+            reports = feasibility(ctx)
             for task_decl in ctx.tasks.values():
                 if len(task_decl.capabilities) > 5:
                     continue
@@ -229,7 +230,7 @@ def test_criterion_4_oracle_equivalence():
                 expected = brute_force_feasibility(
                     task_decl, catalog, set(ctx.provided_inputs)
                 )
-                report = ctx.feasibility[task_decl.task_id]
+                report = reports[task_decl.task_id]
                 compared_feasibility += 1
                 if (
                     report.feasible,
@@ -371,7 +372,6 @@ def test_criterion_6_deterministic_failure_handling():
                 capabilities=patched,
                 tasks=ctx.tasks,
                 directory=ctx.directory,
-                feasibility=ctx.feasibility,
                 provided_inputs=ctx.provided_inputs,
                 server_routes=ctx.server_routes,
                 sealed_at=ctx.sealed_at,

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import io
 import json
+import socket
 import subprocess
 import sys
+import threading
+import time
+import types
 from pathlib import Path
 
 import pytest
 
-from dalia import reference
+import dalia
+from dalia import reference, wire
 from dalia.canonical import canonical_bytes
 from dalia.cli import main
 from dalia.directory import save_snapshot, snapshot_to_json
@@ -288,6 +293,64 @@ def test_pipeline_over_tcp_endpoints(tmp_path):
     finally:
         server_handle.shutdown()
         directory_handle.shutdown()
+
+
+def _run_against_server(tmp_path, address: str) -> tuple[int, str]:
+    """``dalia run`` of the scenario with the food server at ``tcp:address``."""
+    write_scenario_configs(tmp_path)
+    config = tmp_path / "orchestrator.json"
+    config.write_text(
+        json.dumps({"servers": [f"tcp:{address}"], "directory": "local:directory.json"})
+    )
+    args = ["run", "--config", str(config), "--intent", "book_restaurant"]
+    return run_cli([*args, "--inputs", *SCENARIO_INPUT_ARGS])
+
+
+def test_silent_endpoint_during_discovery_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(wire, "CLIENT_TIMEOUT_SECONDS", 0.3)
+    # listens, so connections complete, but never accepts or answers
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        host, port = silent.getsockname()[:2]
+        started = time.perf_counter()
+        code, output = _run_against_server(tmp_path, f"{host}:{port}")
+        elapsed = time.perf_counter() - started
+    assert code == 2
+    assert output == ""
+    assert "EndpointUnreachable" in capsys.readouterr().err
+    assert elapsed < 5
+
+
+def test_silent_endpoint_during_invoke_aborts_the_trace_and_exits_4(tmp_path, monkeypatch):
+    monkeypatch.setattr(wire, "CLIENT_TIMEOUT_SECONDS", 0.3)
+    release = threading.Event()
+    server = WireServer(reference.food_server_config())
+    invoke = server._methods["dalia/invoke"]
+
+    def blocked_invoke(params):
+        release.wait(timeout=10)
+        return invoke(params)
+
+    server._methods["dalia/invoke"] = blocked_invoke
+    handle = TcpServerHandle(server, "127.0.0.1:0")
+    try:
+        code, output = _run_against_server(tmp_path, handle.address)
+    finally:
+        release.set()
+        handle.shutdown()
+    assert code == 4
+    trace = json.loads(output)
+    assert trace["outcome"] == "aborted"
+    assert [step["status"] for step in trace["steps"]] == ["failed", "skipped"]
+    assert trace["steps"][0]["error"].startswith("invocation failed: endpoint unreachable")
+    assert trace["final_bindings"] == dict(pair.split("=") for pair in SCENARIO_INPUT_ARGS)
+
+
+def test_package_exports_only_classes_and_functions():
+    assert dalia.__all__
+    for name in dalia.__all__:
+        value = getattr(dalia, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert callable(value), name
 
 
 def test_checked_in_demo_configs_work():

@@ -4,10 +4,10 @@ import socket
 
 import pytest
 
-from dalia import reference
+from dalia import discovery, reference
 from dalia.canonical import canonical_bytes
 from dalia.capabilities import CapabilityId
-from dalia.discovery import build_invoker, context_fingerprint, discover
+from dalia.discovery import build_invoker, context_fingerprint, discover, feasibility
 from dalia.errors import (
     DuplicateCapabilityId,
     EndpointUnreachable,
@@ -41,10 +41,28 @@ def test_discover_scenario_builds_sealed_context():
     ctx = discover([server], directory, set(reference.SCENARIO_INPUTS))
     assert len(ctx.capabilities) == 2
     assert len(ctx.tasks) == 1
-    assert ctx.feasibility[BOOKING].feasible
+    assert feasibility(ctx)[BOOKING].feasible
     assert ctx.provider(reference.SEARCH_ID) == reference.FOOD_SERVER_ID
     assert "RestaurantAgent" in ctx.directory.agents
     assert ctx.server_routes[reference.FOOD_SERVER_ID] is server
+
+
+def test_feasibility_is_computed_only_on_request(monkeypatch, scenario_goal):
+    reports = []
+    original = discovery.check_feasibility
+
+    def counting(task, catalog, provided):
+        reports.append(original(task, catalog, provided))
+        return reports[-1]
+
+    monkeypatch.setattr(discovery, "check_feasibility", counting)
+    server, directory = _scenario_clients()
+    ctx = discover([server], directory, set(reference.SCENARIO_INPUTS))
+    trace = execute(plan(scenario_goal, ctx), scenario_goal, ctx, build_invoker(ctx))
+    assert trace.outcome == "completed"
+    assert reports == []
+    assert feasibility(ctx) == {BOOKING: reports[0]}
+    assert reports[0].feasible
 
 
 def test_discover_zero_servers_empty_directory():
@@ -64,7 +82,7 @@ def test_repeated_discovery_is_deterministic():
     assert first.capabilities == second.capabilities
     assert first.tasks == second.tasks
     assert first.directory == second.directory
-    assert first.feasibility == second.feasibility
+    assert feasibility(first) == feasibility(second)
     assert context_fingerprint(first) == context_fingerprint(second)
 
 
@@ -178,9 +196,10 @@ def test_closed_world_no_discovery_calls_during_plan_and_execute(scenario_goal):
 def test_context_invariant_task_refs_resolve_or_flag_infeasible():
     server, directory = _scenario_clients()
     ctx = discover([server], directory, set(reference.SCENARIO_INPUTS))
+    reports = feasibility(ctx)
     for task_id, task in ctx.tasks.items():
         for cid in task.capabilities:
-            assert cid in ctx.capabilities or not ctx.feasibility[task_id].feasible
+            assert cid in ctx.capabilities or not reports[task_id].feasible
 
 
 def test_invoker_serves_the_local_server_discovery_sealed(tmp_path, scenario_goal):

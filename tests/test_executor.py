@@ -17,15 +17,20 @@ from dalia.executor import (
     STATUS_FAILED,
     STATUS_SKIPPED,
     STATUS_SUCCEEDED,
-    BindingEnv,
-    FactSet,
-    SlotRebound,
     canonical_order,
     canonical_serialize_trace,
     execute,
     replay_check,
 )
-from dalia.planner import Edge, Goal, Node, TaskGraph, canonical_serialize_graph, plan
+from dalia.planner import (
+    Edge,
+    Goal,
+    Node,
+    TaskGraph,
+    canonical_serialize_graph,
+    plan,
+    validate_graph,
+)
 from dalia.wire import HANDLER_FAULT
 
 from test_planner import build_ctx, cap, task
@@ -44,22 +49,6 @@ class ScriptedInvoker:
         if capability_id.render() in self.fail:
             raise WireError(HANDLER_FAULT, "scripted failure")
         return dict(self.outputs[capability_id.render()])
-
-
-def test_binding_env_is_write_once():
-    env = BindingEnv({"a": 1})
-    env.bind("b", 2)
-    with pytest.raises(SlotRebound):
-        env.bind("a", 3)
-    assert env.as_dict() == {"a": 1, "b": 2}
-
-
-def test_fact_set_grows_monotonically():
-    facts = FactSet({"f1"})
-    facts.add_all({"f2"})
-    assert facts.missing(["f1", "f2"]) == []
-    assert facts.missing(["f3"]) == ["f3"]
-    assert facts.as_set() == {"f1", "f2"}
 
 
 def test_canonical_order_scenario(scenario_context, scenario_goal):
@@ -324,6 +313,50 @@ def test_execute_write_once_defense_on_duplicate_producers():
     failed = [s for s in trace.steps if s.status == STATUS_FAILED]
     assert len(failed) == 1
     assert "already bound" in failed[0].error
+
+
+def test_failed_step_binds_none_of_its_outputs():
+    # b.both binds y before it reaches x, which a.prod already bound
+    a = cap("a.prod", inputs=[], outputs=["x"])
+    b = cap("b.both", inputs=[], outputs=["y", "x"])
+    t = task("t.leak", "leak_intent", outputs=["x", "y"], capabilities=["a.prod", "b.both"])
+    ctx = build_ctx([a, b], [t], set())
+    goal = Goal(intent="leak_intent", bindings={})
+    graph = plan(goal, ctx)
+    assert validate_graph(graph, goal, ctx).ok
+    invoker = ScriptedInvoker({"a.prod": {"x": "1"}, "b.both": {"y": "3", "x": "2"}})
+    trace = execute(graph, goal, ctx, invoker)
+    assert [step.status for step in trace.steps] == [STATUS_SUCCEEDED, STATUS_FAILED]
+    assert trace.steps[1].error == "slot 'x' is already bound"
+    assert trace.steps[1].outputs_received == {}
+    assert trace.final_bindings == {"x": "1"}
+    assert replay_check(trace, graph).ok
+
+    leaked = dataclasses.replace(trace, final_bindings={"x": "1", "y": "3"})
+    assert replay_check(leaked, graph).violations == [
+        "final binding 'y' is neither a source binding nor an output of a succeeded step"
+    ]
+
+
+def test_canonical_order_is_computed_once_per_graph(
+    monkeypatch, scenario_context, scenario_goal
+):
+    computed = []
+    ordering = TaskGraph.__dict__["ordering"]  # the cached_property; its func computes
+    original = ordering.func
+
+    def counting(graph):
+        computed.append(len(graph.nodes))
+        return original(graph)
+
+    monkeypatch.setattr(ordering, "func", counting)
+    graph = plan(scenario_goal, scenario_context)
+    assert validate_graph(graph, scenario_goal, scenario_context).ok
+    trace = execute(graph, scenario_goal, scenario_context, build_invoker(scenario_context))
+    assert trace.outcome == OUTCOME_COMPLETED
+    assert replay_check(trace, graph).ok
+    # once for the synthesized graph, once for the agent-assigned graph
+    assert computed == [2, 2]
 
 
 def test_abort_prefix_property_over_fault_positions(scenario_goal):

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import all_topological_orders, enumerate_valid_graphs, minimal_graph, random_instance
 
-from dalia.atdp import TaskDeclaration, check_feasibility
+from dalia.atdp import TaskDeclaration
 from dalia.capabilities import Capability, CapabilityId
 from dalia.directory import (
     AgentRecord,
@@ -68,9 +68,6 @@ def build_ctx(
         capabilities={cap.capability_id: (cap, providers[cap.capability_id]) for cap in caps},
         tasks={task.task_id: task for task in tasks},
         directory=snapshot,
-        feasibility={
-            task.task_id: check_feasibility(task, caps, provided) for task in tasks
-        },
         provided_inputs=frozenset(provided),
         server_routes={},
         sealed_at=1,
@@ -266,7 +263,6 @@ def test_validate_flags_unknown_capability(scenario_ctx, scenario_goal):
         },
         tasks=scenario_ctx.tasks,
         directory=scenario_ctx.directory,
-        feasibility=scenario_ctx.feasibility,
         provided_inputs=scenario_ctx.provided_inputs,
         server_routes=scenario_ctx.server_routes,
         sealed_at=scenario_ctx.sealed_at,
@@ -292,7 +288,6 @@ def test_validate_flags_unsatisfiable_precondition(scenario_ctx, scenario_goal):
         capabilities=patched,
         tasks=scenario_ctx.tasks,
         directory=scenario_ctx.directory,
-        feasibility=scenario_ctx.feasibility,
         provided_inputs=scenario_ctx.provided_inputs,
         server_routes=scenario_ctx.server_routes,
         sealed_at=scenario_ctx.sealed_at,

@@ -623,7 +623,7 @@ def test_tcp_shutdown_waits_for_running_handlers():
 
     def slow(params):
         started.set()
-        time.sleep(1.5)  # longer than serve_forever's 0.5 s poll, which shutdown() waits out
+        time.sleep(0.5)  # ten times serve_forever's poll, which shutdown() waits out
         finished.set()
         return {}
 
@@ -646,6 +646,16 @@ def test_tcp_shutdown_waits_for_running_handlers():
         caller.join(timeout=10)
         client.close()
     assert not caller.is_alive()
+
+
+def test_idle_tcp_server_shuts_down_promptly():
+    handle = TcpServerHandle(WireServer(reference.food_server_config()), "127.0.0.1:0")
+    client = TcpClient(handle.address)
+    assert client.call("dalia/server_info") == {"server_id": reference.FOOD_SERVER_ID}
+    client.close()
+    started = time.perf_counter()
+    handle.shutdown()
+    assert time.perf_counter() - started < 0.2
 
 
 def _send_raw(address: str, data: bytes) -> list[dict]:

@@ -20,13 +20,13 @@ from .canonical import canonical_bytes
 from .capabilities import (
     Capability,
     CapabilityId,
-    capability_id_problems,
     check_fields,
     check_token_list,
     is_identifier,
     load_document,
+    parse_capability_id,
+    raise_aggregated,
 )
-from .errors import InvariantViolation, SchemaViolation
 
 TASK_FIELDS = ("task_id", "intent", "inputs", "outputs", "capabilities")
 
@@ -73,18 +73,10 @@ class FeasibilityReport:
 def parse_task(document: Any) -> TaskDeclaration:
     """Parse and validate one task declaration; errors aggregate every rule broken."""
     data = load_document(document, "task")
-    schema: list[str] = []
-    invariant: list[str] = []
-
-    schema += check_fields(data, TASK_FIELDS, "task")
-
-    task_id = None
+    schema = check_fields(data, TASK_FIELDS, "task")
+    task_id, invariant = None, []
     if "task_id" in data:
-        id_problems = capability_id_problems(data["task_id"], label="task_id")
-        if id_problems:
-            invariant += id_problems
-        else:
-            task_id = CapabilityId.parse(data["task_id"])
+        task_id, invariant = parse_capability_id(data["task_id"], label="task_id")
 
     if "intent" in data:
         if not isinstance(data["intent"], str):
@@ -92,10 +84,11 @@ def parse_task(document: Any) -> TaskDeclaration:
         elif not is_identifier(data["intent"]):
             invariant.append(f"intent is not a lowercase identifier: {data['intent']!r}")
 
-    lists: dict[str, list[str]] = {}
-    for name in ("inputs", "outputs"):
-        if name in data:
-            lists[name] = check_token_list(data[name], name, schema, invariant)
+    lists = {
+        name: check_token_list(data[name], name, schema, invariant)
+        for name in ("inputs", "outputs")
+        if name in data
+    }
     if "outputs" in lists and not lists["outputs"]:
         invariant.append("outputs must be non-empty")
 
@@ -106,11 +99,10 @@ def parse_task(document: Any) -> TaskDeclaration:
             schema.append(f"capabilities must be a list, got {type(raw).__name__}")
         else:
             for index, item in enumerate(raw):
-                id_problems = capability_id_problems(item, label=f"capabilities[{index}]")
-                if id_problems:
-                    invariant += id_problems
-                else:
-                    capability_ids.append(CapabilityId.parse(item))
+                cid, id_problems = parse_capability_id(item, label=f"capabilities[{index}]")
+                invariant += id_problems
+                if cid is not None:
+                    capability_ids.append(cid)
             if not raw:
                 invariant.append("empty capability set: a task must name at least one capability")
             seen: set[CapabilityId] = set()
@@ -119,10 +111,7 @@ def parse_task(document: Any) -> TaskDeclaration:
                     invariant.append(f"duplicate capability {cid} in capabilities")
                 seen.add(cid)
 
-    if schema:
-        raise SchemaViolation(schema + invariant)
-    if invariant:
-        raise InvariantViolation(invariant)
+    raise_aggregated(schema, invariant)
     assert task_id is not None
     return TaskDeclaration(
         task_id=task_id,
@@ -151,13 +140,13 @@ def check_feasibility(
     * uncovered_outputs: task outputs no present pool member produces;
     * unreachable_inputs: inputs of present pool members that the slot
       closure (fire a capability once all its inputs are reachable, starting
-      from ``provided_inputs``, to fixpoint) never reaches.
+      from ``provided_inputs``, to fixpoint) never reaches. The closure takes
+      time linear in the pool's total inputs and outputs.
 
     The task is feasible iff all three lists are empty. Pure function; safe
     to call concurrently.
     """
     by_id = {cap.capability_id: cap for cap in catalog}
-    provided = set(provided_inputs)
 
     missing = sorted(cid for cid in task.capabilities if cid not in by_id)
     present = [by_id[cid] for cid in task.capabilities if cid in by_id]
@@ -165,18 +154,25 @@ def check_feasibility(
     produced = {slot for cap in present for slot in cap.outputs}
     uncovered = sorted(slot for slot in task.outputs if slot not in produced)
 
-    reachable = set(provided)
-    fired: set[CapabilityId] = set()
-    changed = True
-    while changed:
-        changed = False
-        for cap in present:
-            if cap.capability_id in fired:
-                continue
-            if all(slot in reachable for slot in cap.inputs):
-                fired.add(cap.capability_id)
-                reachable.update(cap.outputs)
-                changed = True
+    # Horn forward chaining (Dowling & Gallier 1984): each pool member counts
+    # its unreached inputs; each slot is reached once, off a queue.
+    reachable = set(provided_inputs)
+    unmet = [set(cap.inputs) - reachable for cap in present]
+    waiting: dict[str, list[int]] = {}
+    for index, needs in enumerate(unmet):
+        for slot in needs:
+            waiting.setdefault(slot, []).append(index)
+    counts = list(map(len, unmet))
+    queue = [slot for cap, needs in zip(present, unmet) if not needs for slot in cap.outputs]
+    while queue:
+        slot = queue.pop()
+        if slot in reachable:
+            continue
+        reachable.add(slot)
+        for index in waiting.get(slot, ()):
+            counts[index] -= 1
+            if not counts[index]:
+                queue.extend(present[index].outputs)
     unreachable = sorted(
         {slot for cap in present for slot in cap.inputs if slot not in reachable}
     )

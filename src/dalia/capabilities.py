@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any
+from functools import lru_cache
+from typing import Any, Sequence
 
 from .canonical import canonical_bytes, strict_loads
 from .errors import (
@@ -34,6 +35,12 @@ from .errors import (
 # and both segments of a capability id.
 IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
+# A memo below keeps at most MEMO_SIZE strings, each at most MEMO_TEXT_LIMIT
+# long (a longer one is checked afresh): a directory server reads ids from its
+# peers for as long as it runs, so no memo may grow with what it is sent.
+MEMO_SIZE = 8192
+MEMO_TEXT_LIMIT = 128
+
 CAPABILITY_FIELDS = (
     "capability_id",
     "role",
@@ -46,7 +53,14 @@ CAPABILITY_FIELDS = (
 
 
 def is_identifier(value: Any) -> bool:
-    return isinstance(value, str) and IDENTIFIER_RE.match(value) is not None
+    if isinstance(value, str) and len(value) <= MEMO_TEXT_LIMIT:
+        return _matches_identifier(value)
+    return isinstance(value, str) and _matches_identifier.__wrapped__(value)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _matches_identifier(text: str) -> bool:
+    return IDENTIFIER_RE.match(text) is not None
 
 
 @dataclass(frozen=True, order=True)
@@ -62,33 +76,41 @@ class CapabilityId:
 
     @classmethod
     def parse(cls, text: Any) -> CapabilityId:
-        problems = capability_id_problems(text)
+        capability_id, problems = parse_capability_id(text)
         if problems:
             raise InvariantViolation(problems)
-        namespace, name = text.split(".")
-        return cls(namespace, name)
+        return capability_id
 
     def render(self) -> str:
         return f"{self.namespace}.{self.name}"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
-def capability_id_problems(text: Any, label: str = "capability_id") -> list[str]:
-    """Every rule the given capability-id text violates (empty if valid)."""
+def parse_capability_id(
+    text: Any, label: str = "capability_id"
+) -> tuple[CapabilityId | None, list[str]]:
+    """``(id, [])`` for valid capability-id text, else ``(None, problems)``:
+    every rule the text violates, each prefixed by ``label``. The memo holds
+    label-free results, so all callers share one entry per distinct text."""
     if not isinstance(text, str):
-        return [f"{label} must be a string, got {type(text).__name__}"]
+        return None, [f"{label} must be a string, got {type(text).__name__}"]
+    check = _parse_id_text if len(text) <= MEMO_TEXT_LIMIT else _parse_id_text.__wrapped__
+    capability_id, problems = check(text)
+    return capability_id, [f"{label} {problem}" for problem in problems] if problems else []
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _parse_id_text(text: str) -> tuple[CapabilityId | None, tuple[str, ...]]:
     segments = text.split(".")
     if len(segments) != 2:
-        return [f"{label} must have exactly two dot-separated segments: {text!r}"]
-    problems = []
-    for part, segment in zip(("namespace", "name"), segments):
-        if not is_identifier(segment):
-            problems.append(
-                f"{label} {part} is not a lowercase identifier: {segment!r}"
-            )
-    return problems
+        return None, (f"must have exactly two dot-separated segments: {text!r}",)
+    problems = tuple(
+        f"{part} is not a lowercase identifier: {segment!r}"
+        for part, segment in zip(("namespace", "name"), segments)
+        if not is_identifier(segment)
+    )
+    return (None if problems else CapabilityId(*segments)), problems
 
 
 @dataclass(frozen=True)
@@ -138,8 +160,7 @@ def check_fields(data: dict, required: tuple[str, ...], kind: str) -> list[str]:
     """Schema problems for missing or unexpected top-level fields."""
     problems = [f"missing required field {name!r}" for name in required if name not in data]
     problems += [
-        f"unexpected field {name!r} in {kind} document"
-        for name in sorted(set(data) - set(required))
+        f"unexpected field {name!r} in {kind} document" for name in sorted(data.keys() - required)
     ]
     return problems
 
@@ -160,20 +181,19 @@ def check_token_list(
         if not isinstance(item, str):
             schema_problems.append(f"{label}[{index}] must be a string")
         elif not is_identifier(item):
-            invariant_problems.append(
-                f"{label}[{index}] is not a lowercase identifier: {item!r}"
-            )
+            invariant_problems.append(f"{label}[{index}] is not a lowercase identifier: {item!r}")
         else:
             tokens.append(item)
-    seen: set[str] = set()
-    for token in tokens:
-        if token in seen:
-            invariant_problems.append(f"duplicate entry {token!r} in {label}")
-        seen.add(token)
+    if len(set(tokens)) < len(tokens):
+        seen: set[str] = set()
+        for token in tokens:
+            if token in seen:
+                invariant_problems.append(f"duplicate entry {token!r} in {label}")
+            seen.add(token)
     return tokens
 
 
-def _raise_aggregated(schema_problems: list[str], invariant_problems: list[str]) -> None:
+def raise_aggregated(schema_problems: list[str], invariant_problems: list[str]) -> None:
     if schema_problems:
         raise SchemaViolation(schema_problems + invariant_problems)
     if invariant_problems:
@@ -187,34 +207,27 @@ def parse_capability(document: Any) -> Capability:
     error lists every violated rule, not just the first.
     """
     data = load_document(document, "capability")
-    schema: list[str] = []
-    invariant: list[str] = []
-
-    schema += check_fields(data, CAPABILITY_FIELDS, "capability")
-
-    capability_id = None
+    schema = check_fields(data, CAPABILITY_FIELDS, "capability")
+    capability_id, invariant = None, []
     if "capability_id" in data:
-        id_problems = capability_id_problems(data["capability_id"])
-        if id_problems:
-            invariant += id_problems
-        else:
-            capability_id = CapabilityId.parse(data["capability_id"])
+        capability_id, invariant = parse_capability_id(data["capability_id"])
 
     for tag in ("role", "domain"):
         if tag in data and not isinstance(data[tag], str):
             schema.append(f"{tag} must be a string, got {type(data[tag]).__name__}")
 
-    lists: dict[str, list[str]] = {}
-    for name in ("inputs", "outputs", "preconditions", "postconditions"):
-        if name in data:
-            lists[name] = check_token_list(data[name], name, schema, invariant)
+    lists = {
+        name: check_token_list(data[name], name, schema, invariant)
+        for name in ("inputs", "outputs", "preconditions", "postconditions")
+        if name in data
+    }
 
     if all(name in lists for name in ("inputs", "outputs", "postconditions")):
         invariant += _capability_invariants(
             lists["inputs"], lists["outputs"], lists["postconditions"]
         )
 
-    _raise_aggregated(schema, invariant)
+    raise_aggregated(schema, invariant)
     assert capability_id is not None
     return Capability(
         capability_id=capability_id,
@@ -228,12 +241,12 @@ def parse_capability(document: Any) -> Capability:
 
 
 def _capability_invariants(
-    inputs: list[str], outputs: list[str], postconditions: list[str]
+    inputs: Sequence[str], outputs: Sequence[str], postconditions: Sequence[str]
 ) -> list[str]:
-    problems = []
-    overlap = sorted(set(inputs) & set(outputs))
-    for slot in overlap:
-        problems.append(f"slot {slot!r} appears in both inputs and outputs")
+    problems = [
+        f"slot {slot!r} appears in both inputs and outputs"
+        for slot in sorted(set(inputs).intersection(outputs))
+    ]
     if not outputs and not postconditions:
         problems.append("no observable effect: outputs and postconditions both empty")
     return problems
@@ -242,23 +255,16 @@ def _capability_invariants(
 def validate_capability(cap: Capability) -> ValidationReport:
     """Re-check all invariants on a programmatically built Capability."""
     report = ValidationReport()
-    report.violations += capability_id_problems(cap.capability_id.render())
-    for name, tokens in (
-        ("inputs", cap.inputs),
-        ("outputs", cap.outputs),
-        ("preconditions", cap.preconditions),
-        ("postconditions", cap.postconditions),
-    ):
+    report.violations += parse_capability_id(cap.capability_id.render())[1]
+    for name in ("inputs", "outputs", "preconditions", "postconditions"):
         seen: set[str] = set()
-        for token in tokens:
+        for token in getattr(cap, name):
             if not is_identifier(token):
                 report.add(f"{name} entry is not a lowercase identifier: {token!r}")
             if token in seen:
                 report.add(f"duplicate entry {token!r} in {name}")
             seen.add(token)
-    report.violations += _capability_invariants(
-        list(cap.inputs), list(cap.outputs), list(cap.postconditions)
-    )
+    report.violations += _capability_invariants(cap.inputs, cap.outputs, cap.postconditions)
     return report
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Any, Iterable
 
 from .canonical import canonical_bytes
-from .capabilities import CapabilityId, capability_id_problems, is_identifier, load_document
+from .capabilities import CapabilityId, is_identifier, load_document, parse_capability_id
 from .errors import (
     DirectoryError,
     InvalidCapabilityId,
@@ -154,13 +154,11 @@ def bind_server_capabilities(
         raise InvalidServerId(server_id)
     parsed: list[CapabilityId] = []
     for cid in capability_ids:
-        if isinstance(cid, CapabilityId):
-            parsed.append(cid)
-            continue
-        problems = capability_id_problems(cid)
-        if problems:
-            raise InvalidCapabilityId("; ".join(problems))
-        parsed.append(CapabilityId.parse(cid))
+        if not isinstance(cid, CapabilityId):
+            cid, problems = parse_capability_id(cid)
+            if problems:
+                raise InvalidCapabilityId("; ".join(problems))
+        parsed.append(cid)
     if len(set(parsed)) != len(parsed):
         raise InvalidCapabilityId(f"duplicate capability ids in binding for {server_id!r}")
     server_capabilities = dict(snapshot.server_capabilities)
@@ -176,7 +174,7 @@ def executable_capabilities(snapshot: DirectorySnapshot, agent_id: str) -> list[
     union: set[CapabilityId] = set()
     for server_id in record.accessible_servers:
         union.update(snapshot.server_capabilities.get(server_id, ()))
-    return sorted(union)
+    return sorted(union, key=CapabilityId.render)  # the ids' order (see CapabilityId), compared in C
 
 
 def resolve_capability(snapshot: DirectorySnapshot, capability_id: CapabilityId) -> list[str]:
@@ -280,11 +278,11 @@ def load_snapshot(data: Any) -> DirectorySnapshot:
         if not isinstance(cids, list):
             raise MalformedDocument([f"binding for {server_id!r} must be a list"])
         parsed = []
-        for cid in cids:
-            id_problems = capability_id_problems(cid)
+        for text in cids:
+            cid, id_problems = parse_capability_id(text)
             if id_problems:
                 raise MalformedDocument([f"server {server_id!r}: {v}" for v in id_problems])
-            parsed.append(CapabilityId.parse(cid))
+            parsed.append(cid)
         if len(set(parsed)) != len(parsed):
             raise MalformedDocument([f"duplicate capability ids bound to {server_id!r}"])
         server_capabilities[server_id] = tuple(parsed)

@@ -23,7 +23,7 @@ from typing import Any
 
 from .atdp import TaskDeclaration
 from .canonical import canonical_bytes
-from .capabilities import Capability, CapabilityId, capability_id_problems, load_document
+from .capabilities import Capability, CapabilityId, load_document, parse_capability_id
 from .directory import resolve_capability
 from .discovery import ExecutionContext
 from .errors import (
@@ -273,7 +273,11 @@ def assign_agents(graph: TaskGraph, ctx: ExecutionContext) -> TaskGraph:
                 server_id=ctx.provider(node.capability_id),
             )
         )
-    return replace(graph, nodes=tuple(nodes))
+    assigned = replace(graph, nodes=tuple(nodes))
+    # The order reads node ids, capability ids and edges, which assignment
+    # keeps; the assigned graph takes it over instead of computing it again.
+    assigned.__dict__["ordering"] = graph.ordering
+    return assigned
 
 
 def validate_graph(graph: TaskGraph, goal: Goal, ctx: ExecutionContext) -> ValidationReport:
@@ -388,7 +392,7 @@ def parse_graph(document: Any) -> TaskGraph:
             problems.append(f"missing field {name!r}")
     if problems:
         raise SchemaViolation(problems)
-    id_problems = capability_id_problems(data["task_id"], label="task_id")
+    task_id, id_problems = parse_capability_id(data["task_id"], label="task_id")
     if id_problems:
         raise SchemaViolation(id_problems)
     if not all(isinstance(data[k], list) for k in ("nodes", "edges", "source_bindings")):
@@ -416,7 +420,7 @@ def parse_graph(document: Any) -> TaskGraph:
         except (TypeError, KeyError) as exc:
             raise MalformedDocument([f"bad edge document: {doc!r}"]) from exc
     return TaskGraph(
-        task_id=CapabilityId.parse(data["task_id"]),
+        task_id=task_id,
         nodes=tuple(nodes),
         edges=tuple(edges),
         source_bindings=tuple(data["source_bindings"]),

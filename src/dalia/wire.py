@@ -21,6 +21,7 @@ import socketserver
 import sys
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 from . import directory as directory_ops
@@ -29,10 +30,10 @@ from .canonical import canonical_bytes, sorted_map, strict_loads
 from .capabilities import (
     Capability,
     CapabilityId,
-    capability_id_problems,
     is_identifier,
     load_document,
     parse_capability,
+    parse_capability_id,
     validate_capability,
 )
 from .directory import DirectorySnapshot, parse_agent_record, snapshot_to_json
@@ -243,32 +244,31 @@ class ServerConfig:
     tasks: tuple[TaskDeclaration, ...]
     handlers: dict[CapabilityId, HandlerSpec] = field(default_factory=dict)
 
-
-def config_problems(config: ServerConfig) -> list[str]:
-    """Semantic defects in a server configuration (empty when startable)."""
-    problems: list[str] = []
-    if not is_identifier(config.server_id):
-        problems.append(f"server_id is not a lowercase identifier: {config.server_id!r}")
-    declared = {cap.capability_id for cap in config.capabilities}
-    if len(declared) != len(config.capabilities):
-        problems.append("duplicate capability ids declared by this server")
-    for cap in config.capabilities:
-        report = validate_capability(cap)
-        problems += [f"capability {cap.capability_id}: {v}" for v in report.violations]
-    for task in config.tasks:
-        for cid in task.capabilities:
+    @cached_property
+    def problems(self) -> list[str]:
+        """Semantic defects, empty when startable. Computed once per config, so
+        parsing and then serving it checks each capability once; read-only."""
+        problems: list[str] = []
+        if not is_identifier(self.server_id):
+            problems.append(f"server_id is not a lowercase identifier: {self.server_id!r}")
+        declared = {cap.capability_id for cap in self.capabilities}
+        if len(declared) != len(self.capabilities):
+            problems.append("duplicate capability ids declared by this server")
+        for cap in self.capabilities:
+            report = validate_capability(cap)
+            problems += [f"capability {cap.capability_id}: {v}" for v in report.violations]
+        for task in self.tasks:
+            for cid in task.capabilities:
+                if cid not in declared:
+                    problems.append(f"task {task.task_id} references undeclared capability {cid}")
+        for cid, spec in self.handlers.items():
             if cid not in declared:
-                problems.append(
-                    f"task {task.task_id} references undeclared capability {cid}"
-                )
-    for cid, spec in config.handlers.items():
-        if cid not in declared:
-            problems.append(f"handler for undeclared capability {cid}")
-        if any(not isinstance(entry, dict) for entry in spec.script):
-            problems.append(f"handler script for {cid} must be a list of output maps")
-        if any(type(k) is not int or k < 1 for k in spec.fail_on):
-            problems.append(f"handler fail_on for {cid} must be positive integers")
-    return problems
+                problems.append(f"handler for undeclared capability {cid}")
+            if any(not isinstance(entry, dict) for entry in spec.script):
+                problems.append(f"handler script for {cid} must be a list of output maps")
+            if any(type(k) is not int or k < 1 for k in spec.fail_on):
+                problems.append(f"handler fail_on for {cid} must be positive integers")
+        return problems
 
 
 def parse_server_config(document: Any) -> ServerConfig:
@@ -308,7 +308,7 @@ def parse_server_config(document: Any) -> ServerConfig:
         problems.append("handlers must be an object")
         raw_handlers = {}
     for key, spec in raw_handlers.items():
-        id_problems = capability_id_problems(key, label="handler key")
+        cid, id_problems = parse_capability_id(key, label="handler key")
         if id_problems:
             problems += id_problems
             continue
@@ -323,9 +323,7 @@ def parse_server_config(document: Any) -> ServerConfig:
         if not isinstance(fail_on, list):
             problems.append(f"handler fail_on for {key} must be a list of integers")
             fail_on = []
-        handlers[CapabilityId.parse(key)] = HandlerSpec(
-            script=tuple(script), fail_on=tuple(fail_on)
-        )
+        handlers[cid] = HandlerSpec(script=tuple(script), fail_on=tuple(fail_on))
 
     config = ServerConfig(
         server_id=server_id,
@@ -333,7 +331,7 @@ def parse_server_config(document: Any) -> ServerConfig:
         tasks=tuple(tasks),
         handlers=handlers,
     )
-    problems += config_problems(config)
+    problems += config.problems
     if problems:
         raise ConfigInvalid(sorted(set(problems), key=problems.index))
     return config
@@ -426,9 +424,8 @@ class WireServer(_Dispatcher):
     """
 
     def __init__(self, config: ServerConfig):
-        problems = config_problems(config)
-        if problems:
-            raise ConfigInvalid(problems)
+        if config.problems:
+            raise ConfigInvalid(config.problems)
         self.config = config
         self._lock = threading.Lock()
         self._invocations: dict[CapabilityId, int] = {}
@@ -451,9 +448,9 @@ class WireServer(_Dispatcher):
 
     def _invoke(self, params: dict) -> dict:
         raw_id = params.get("capability_id")
-        if capability_id_problems(raw_id):
+        cid, problems = parse_capability_id(raw_id)
+        if problems:
             raise WireError(UNKNOWN_CAPABILITY, f"unknown capability: {raw_id!r}")
-        cid = CapabilityId.parse(raw_id)
         cap = self._capabilities.get(cid)
         if cap is None:
             raise WireError(UNKNOWN_CAPABILITY, f"unknown capability: {cid}")
@@ -527,11 +524,10 @@ class DirectoryService(_Dispatcher):
         return {"server_id": server_id, "capability_ids": list(capability_ids)}
 
     def _resolve(self, params: dict) -> list[str]:
-        raw_id = params.get("capability_id")
-        problems = capability_id_problems(raw_id)
+        cid, problems = parse_capability_id(params.get("capability_id"))
         if problems:
             raise InvalidCapabilityId("; ".join(problems))
-        return directory_ops.resolve_capability(self._snapshot, CapabilityId.parse(raw_id))
+        return directory_ops.resolve_capability(self._snapshot, cid)
 
     def _snapshot_doc(self, params: dict) -> dict:
         return snapshot_to_json(self._snapshot)

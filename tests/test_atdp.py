@@ -4,11 +4,13 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_feasibility, random_instance
 
-from dalia.atdp import canonical_serialize_task, check_feasibility, parse_task
-from dalia.capabilities import CapabilityId, parse_capability
+from dalia.atdp import TaskDeclaration, canonical_serialize_task, check_feasibility, parse_task
+from dalia.capabilities import Capability, CapabilityId, parse_capability
 from dalia.errors import InvariantViolation, ValidationError
 
 BOOKING_DOC = {
@@ -182,6 +184,40 @@ def test_order_independence_against_brute_force():
             shuffled = list(catalog)
             rng.shuffle(shuffled)
             assert check_feasibility(task, shuffled, ctx.provided_inputs) == report
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), with_facts=st.booleans())
+def test_closure_agrees_with_brute_force_on_random_instances(seed, with_facts):
+    ctx = random_instance(Random(seed), with_facts)
+    catalog = [cap for cap, _ in ctx.capabilities.values()]
+    for task in ctx.tasks.values():
+        report = check_feasibility(task, catalog, ctx.provided_inputs)
+        assert (
+            report.feasible,
+            list(report.missing_capabilities),
+            list(report.uncovered_outputs),
+            list(report.unreachable_inputs),
+        ) == brute_force_feasibility(task, catalog, set(ctx.provided_inputs))
+
+
+def _reverse_listed_chain(n: int) -> tuple[TaskDeclaration, list[Capability]]:
+    """Link i reads s<i> and writes s<i+1>; the pool lists the last link first."""
+    links = [
+        Capability(CapabilityId("chain", f"link{i}"), "r", "d", (f"s{i}",), (f"s{i + 1}",))
+        for i in range(n)
+    ]
+    pool = tuple(cap.capability_id for cap in reversed(links))
+    return TaskDeclaration(CapabilityId("chain", "task"), "chain", ("s0",), (f"s{n}",), pool), links
+
+
+def test_closure_walks_a_reverse_listed_chain():
+    task, links = _reverse_listed_chain(300)
+    assert check_feasibility(task, links, {"s0"}).feasible
+    report = check_feasibility(task, links[:150] + links[151:], {"s0"})
+    assert report.missing_capabilities == (CapabilityId("chain", "link150"),)
+    assert report.uncovered_outputs == ()
+    assert report.unreachable_inputs == tuple(sorted(f"s{i}" for i in range(151, 300)))
 
 
 def test_task_round_trip_and_double_serialization():

@@ -355,8 +355,8 @@ def test_canonical_order_is_computed_once_per_graph(
     trace = execute(graph, scenario_goal, scenario_context, build_invoker(scenario_context))
     assert trace.outcome == OUTCOME_COMPLETED
     assert replay_check(trace, graph).ok
-    # once for the synthesized graph, once for the agent-assigned graph
-    assert computed == [2, 2]
+    # once for the synthesized graph; the agent-assigned graph takes it over
+    assert computed == [2]
 
 
 def test_abort_prefix_property_over_fault_positions(scenario_goal):

@@ -140,8 +140,7 @@ def check_feasibility(
     * uncovered_outputs: task outputs no present pool member produces;
     * unreachable_inputs: inputs of present pool members that the slot
       closure (fire a capability once all its inputs are reachable, starting
-      from ``provided_inputs``, to fixpoint) never reaches. The closure takes
-      time linear in the pool's total inputs and outputs.
+      from ``provided_inputs``, to fixpoint) never reaches.
 
     The task is feasible iff all three lists are empty. Pure function; safe
     to call concurrently.
@@ -154,8 +153,8 @@ def check_feasibility(
     produced = {slot for cap in present for slot in cap.outputs}
     uncovered = sorted(slot for slot in task.outputs if slot not in produced)
 
-    # Horn forward chaining (Dowling & Gallier 1984): each pool member counts
-    # its unreached inputs; each slot is reached once, off a queue.
+    # Horn forward chaining (Dowling & Gallier 1984), linear in the pool's size:
+    # each member counts its unreached inputs; each slot is reached once.
     reachable = set(provided_inputs)
     unmet = [set(cap.inputs) - reachable for cap in present]
     waiting: dict[str, list[int]] = {}

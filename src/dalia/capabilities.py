@@ -158,6 +158,8 @@ def load_document(document: Any, kind: str) -> dict:
 
 def check_fields(data: dict, required: tuple[str, ...], kind: str) -> list[str]:
     """Schema problems for missing or unexpected top-level fields."""
+    if data.keys() == set(required):
+        return []
     problems = [f"missing required field {name!r}" for name in required if name not in data]
     problems += [
         f"unexpected field {name!r} in {kind} document" for name in sorted(data.keys() - required)
@@ -216,13 +218,12 @@ def parse_capability(document: Any) -> Capability:
         if tag in data and not isinstance(data[tag], str):
             schema.append(f"{tag} must be a string, got {type(data[tag]).__name__}")
 
-    lists = {
-        name: check_token_list(data[name], name, schema, invariant)
-        for name in ("inputs", "outputs", "preconditions", "postconditions")
-        if name in data
-    }
+    lists: dict[str, list[str]] = {}
+    for name in ("inputs", "outputs", "preconditions", "postconditions"):
+        if name in data:
+            lists[name] = check_token_list(data[name], name, schema, invariant)
 
-    if all(name in lists for name in ("inputs", "outputs", "postconditions")):
+    if {"inputs", "outputs", "postconditions"} <= lists.keys():
         invariant += _capability_invariants(
             lists["inputs"], lists["outputs"], lists["postconditions"]
         )
@@ -243,7 +244,7 @@ def parse_capability(document: Any) -> Capability:
 def _capability_invariants(
     inputs: Sequence[str], outputs: Sequence[str], postconditions: Sequence[str]
 ) -> list[str]:
-    problems = [
+    problems = [] if set(inputs).isdisjoint(outputs) else [
         f"slot {slot!r} appears in both inputs and outputs"
         for slot in sorted(set(inputs).intersection(outputs))
     ]

@@ -84,11 +84,10 @@ def parse_task(document: Any) -> TaskDeclaration:
         elif not is_identifier(data["intent"]):
             invariant.append(f"intent is not a lowercase identifier: {data['intent']!r}")
 
-    lists = {
-        name: check_token_list(data[name], name, schema, invariant)
-        for name in ("inputs", "outputs")
-        if name in data
-    }
+    lists: dict[str, list[str]] = {}
+    for name in ("inputs", "outputs"):
+        if name in data:
+            lists[name] = check_token_list(data[name], name, schema, invariant)
     if "outputs" in lists and not lists["outputs"]:
         invariant.append("outputs must be non-empty")
 

@@ -183,7 +183,9 @@ def check_token_list(
         if not isinstance(item, str):
             schema_problems.append(f"{label}[{index}] must be a string")
         elif not is_identifier(item):
-            invariant_problems.append(f"{label}[{index}] is not a lowercase identifier: {item!r}")
+            invariant_problems.append(
+                f"{label}[{index}] is not a lowercase identifier: {item!r}"
+            )
         else:
             tokens.append(item)
     if len(set(tokens)) < len(tokens):

@@ -274,8 +274,7 @@ def assign_agents(graph: TaskGraph, ctx: ExecutionContext) -> TaskGraph:
             )
         )
     assigned = replace(graph, nodes=tuple(nodes))
-    # The order reads node ids, capability ids and edges, which assignment
-    # keeps; the assigned graph takes it over instead of computing it again.
+    # assignment keeps node ids, capability ids and edges, so the order carries over
     assigned.__dict__["ordering"] = graph.ordering
     return assigned
 

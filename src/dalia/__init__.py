@@ -59,7 +59,6 @@ from .wire import (
     TcpClient,
     WireServer,
     parse_server_config,
-    serve,
 )
 
 # Classes and functions only: importing a submodule also binds its name here.

@@ -92,28 +92,33 @@ def record_problems(record: AgentRecord) -> list[str]:
 
 
 def parse_agent_record(document: Any) -> AgentRecord:
-    """Build an AgentRecord from its JSON form; raises InvalidRecord."""
+    """Build an AgentRecord from its JSON form; raises InvalidRecord.
+
+    The shape problems come first; when every field is present and both
+    lists hold strings, the built record's problems follow them.
+    """
     if not isinstance(document, dict):
         raise InvalidRecord(["agent record must be an object"])
-    problems = [f"missing field {name!r}" for name in AGENT_RECORD_FIELDS if name not in document]
-    problems += [
+    missing = [f"missing field {name!r}" for name in AGENT_RECORD_FIELDS if name not in document]
+    unexpected = [
         f"unexpected field {name!r}" for name in sorted(set(document) - set(AGENT_RECORD_FIELDS))
     ]
+    bad_lists = []
     for name in ("domains", "accessible_servers"):
         value = document.get(name)
         if name in document and (
             not isinstance(value, list) or any(not isinstance(v, str) for v in value)
         ):
-            problems.append(f"{name} must be a list of strings")
-    if problems:
-        raise InvalidRecord(problems)
-    record = AgentRecord(
-        agent_id=document["agent_id"],
-        role=document["role"],
-        domains=tuple(document["domains"]),
-        accessible_servers=tuple(document["accessible_servers"]),
-    )
-    problems = record_problems(record)
+            bad_lists.append(f"{name} must be a list of strings")
+    problems = missing + unexpected + bad_lists
+    if not missing and not bad_lists:
+        record = AgentRecord(
+            agent_id=document["agent_id"],
+            role=document["role"],
+            domains=tuple(document["domains"]),
+            accessible_servers=tuple(document["accessible_servers"]),
+        )
+        problems += record_problems(record)
     if problems:
         raise InvalidRecord(problems)
     return record

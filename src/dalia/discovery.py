@@ -9,8 +9,6 @@ defect raises and no context is produced.
 
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -26,9 +24,6 @@ from .errors import (
 )
 from .wire import Invoker, connect_directory, connect_server
 
-_seal_counter = itertools.count(1)
-_seal_lock = threading.Lock()
-
 
 @dataclass(frozen=True)
 class ExecutionContext:
@@ -43,7 +38,6 @@ class ExecutionContext:
     directory: DirectorySnapshot
     provided_inputs: frozenset[str]
     server_routes: dict[str, Any] = field(default_factory=dict)
-    sealed_at: int = 0
 
     def capability(self, capability_id: CapabilityId) -> Capability:
         return self.capabilities[capability_id][0]
@@ -130,15 +124,12 @@ def discover(
     except ValidationError as exc:
         raise ProtocolError(f"directory returned a bad snapshot: {exc}") from exc
 
-    with _seal_lock:
-        sealed_at = next(_seal_counter)
     return ExecutionContext(
         capabilities=capabilities,
         tasks=tasks,
         directory=snapshot,
         provided_inputs=provided,
         server_routes=server_routes,
-        sealed_at=sealed_at,
     )
 
 
@@ -158,7 +149,7 @@ def _endpoint_name(client: Any) -> str:
 def context_fingerprint(ctx: ExecutionContext) -> str:
     """Digest over the sealed content (capabilities, tasks, directory).
 
-    Excludes sealed_at and routing; equal contexts have equal fingerprints.
+    Excludes routing; equal contexts have equal fingerprints.
     """
     doc = {
         "capabilities": [

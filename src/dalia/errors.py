@@ -26,17 +26,23 @@ class ValidationReport:
         self.violations.append(message)
 
 
+def _init_violations(self: DaliaError, violations: list[str] | str) -> None:
+    """The constructor of every error that carries a ``violations`` list;
+    ``str()`` joins them with "; ". Shared by assignment, so each class keeps
+    its own base classes."""
+    if isinstance(violations, str):
+        violations = [violations]
+    self.violations = list(violations)
+    Exception.__init__(self, "; ".join(self.violations))
+
+
 class ValidationError(DaliaError):
     """A document or value violated one or more rules.
 
     Carries every detected violation, not just the first.
     """
 
-    def __init__(self, violations: list[str] | str):
-        if isinstance(violations, str):
-            violations = [violations]
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+    __init__ = _init_violations
 
 
 class MalformedDocument(ValidationError):
@@ -59,9 +65,7 @@ class DirectoryError(DaliaError):
 
 
 class InvalidRecord(DirectoryError):
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+    __init__ = _init_violations
 
 
 class UnknownAgent(DirectoryError):
@@ -175,9 +179,7 @@ class NoEligibleAgent(PlanningError):
 class InvalidGraph(DaliaError):
     """A graph handed to the executor fails structural validation."""
 
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+    __init__ = _init_violations
 
 
 # -- wire ---------------------------------------------------------------------
@@ -193,11 +195,7 @@ class WireError(DaliaError):
 
 
 class ConfigInvalid(DaliaError):
-    def __init__(self, violations: list[str] | str):
-        if isinstance(violations, str):
-            violations = [violations]
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+    __init__ = _init_violations
 
 
 class BindFailure(DaliaError):

@@ -382,6 +382,17 @@ def canonical_serialize_graph(graph: TaskGraph) -> bytes:
     return canonical_bytes(graph.to_json())
 
 
+# The JSON type each node and edge field must have; ``bool`` is not ``int`` here.
+_NODE_FIELD_TYPES = {"node_id": int, "capability_id": str, "agent_id": str, "server_id": str}
+_EDGE_FIELD_TYPES = {"from_node": int, "to_node": int, "slot": str}
+
+
+def _has_field_types(doc: Any, field_types: dict[str, type]) -> bool:
+    return isinstance(doc, dict) and all(
+        type(doc.get(name)) is field_type for name, field_type in field_types.items()
+    )
+
+
 def parse_graph(document: Any) -> TaskGraph:
     """Inverse of canonical_serialize_graph."""
     data = load_document(document, "graph")
@@ -396,28 +407,26 @@ def parse_graph(document: Any) -> TaskGraph:
         raise SchemaViolation(id_problems)
     if not all(isinstance(data[k], list) for k in ("nodes", "edges", "source_bindings")):
         raise SchemaViolation(["nodes, edges, and source_bindings must be lists"])
+    if any(type(slot) is not str for slot in data["source_bindings"]):
+        raise MalformedDocument(["source_bindings must be a list of strings"])
 
     nodes = []
     for doc in data["nodes"]:
-        try:
-            nodes.append(
-                Node(
-                    node_id=doc["node_id"],
-                    capability_id=CapabilityId.parse(doc["capability_id"]),
-                    agent_id=doc["agent_id"],
-                    server_id=doc["server_id"],
-                )
+        if not _has_field_types(doc, _NODE_FIELD_TYPES):
+            raise MalformedDocument([f"bad node document: {doc!r}"])
+        nodes.append(
+            Node(
+                node_id=doc["node_id"],
+                capability_id=CapabilityId.parse(doc["capability_id"]),
+                agent_id=doc["agent_id"],
+                server_id=doc["server_id"],
             )
-        except (TypeError, KeyError) as exc:
-            raise MalformedDocument([f"bad node document: {doc!r}"]) from exc
+        )
     edges = []
     for doc in data["edges"]:
-        try:
-            edges.append(
-                Edge(from_node=doc["from_node"], to_node=doc["to_node"], slot=doc["slot"])
-            )
-        except (TypeError, KeyError) as exc:
-            raise MalformedDocument([f"bad edge document: {doc!r}"]) from exc
+        if not _has_field_types(doc, _EDGE_FIELD_TYPES):
+            raise MalformedDocument([f"bad edge document: {doc!r}"])
+        edges.append(Edge(from_node=doc["from_node"], to_node=doc["to_node"], slot=doc["slot"]))
     return TaskGraph(
         task_id=task_id,
         nodes=tuple(nodes),

@@ -246,8 +246,9 @@ class ServerConfig:
 
     @cached_property
     def problems(self) -> list[str]:
-        """Semantic defects, empty when startable. Computed once per config, so
-        parsing and then serving it checks each capability once; read-only."""
+        """Semantic defects, each once in first-seen order; empty when
+        startable. Computed once per config, so parsing and then serving it
+        checks each capability once; read-only."""
         problems: list[str] = []
         if not is_identifier(self.server_id):
             problems.append(f"server_id is not a lowercase identifier: {self.server_id!r}")
@@ -268,7 +269,7 @@ class ServerConfig:
                 problems.append(f"handler script for {cid} must be a list of output maps")
             if any(type(k) is not int or k < 1 for k in spec.fail_on):
                 problems.append(f"handler fail_on for {cid} must be positive integers")
-        return problems
+        return list(dict.fromkeys(problems))
 
 
 def parse_server_config(document: Any) -> ServerConfig:
@@ -333,29 +334,8 @@ def parse_server_config(document: Any) -> ServerConfig:
     )
     problems += config.problems
     if problems:
-        raise ConfigInvalid(sorted(set(problems), key=problems.index))
+        raise ConfigInvalid(list(dict.fromkeys(problems)))
     return config
-
-
-def server_config_to_json(config: ServerConfig) -> dict:
-    return {
-        "server_id": config.server_id,
-        "capabilities": [cap.to_json() for cap in config.capabilities],
-        "tasks": [task.to_json() for task in config.tasks],
-        "handlers": {
-            cid.render(): _handler_to_json(spec)
-            for cid, spec in sorted(config.handlers.items())
-        },
-    }
-
-
-def _handler_to_json(spec: HandlerSpec) -> dict:
-    doc: dict[str, Any] = {}
-    if spec.script:
-        doc["script"] = list(spec.script)
-    if spec.fail_on:
-        doc["fail_on"] = list(spec.fail_on)
-    return doc
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -635,7 +615,6 @@ class TcpServerHandle:
         except OSError as exc:
             raise BindFailure(address, str(exc)) from exc
         self._server.dispatcher = dispatcher  # type: ignore[attr-defined]
-        self.dispatcher = dispatcher
         self._thread = threading.Thread(
             target=self._server.serve_forever, args=(SHUTDOWN_POLL_SECONDS,), daemon=True
         )
@@ -661,20 +640,6 @@ def parse_tcp_address(address: str) -> tuple[str, int]:
     if not host or not port_text.isdigit():
         raise BindFailure(address, "expected host:port")
     return host, int(port_text)
-
-
-def serve(config: ServerConfig, transport: str) -> TcpServerHandle | None:
-    """Start a server for ``config``.
-
-    ``transport`` is ``"stdio"`` (blocks until EOF) or a ``host:port``
-    address (returns a running handle). Startup validation refuses any
-    configuration with declaration defects (ConfigInvalid).
-    """
-    server = WireServer(config)
-    if transport == "stdio":
-        serve_stdio(server)
-        return None
-    return TcpServerHandle(server, transport)
 
 
 # -- clients ---------------------------------------------------------------------

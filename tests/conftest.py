@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from dalia import reference
+import scenario
 from dalia.discovery import discover
 from dalia.planner import Goal
 from dalia.wire import DirectoryService, LocalClient, WireServer
@@ -15,19 +15,19 @@ from dalia.wire import DirectoryService, LocalClient, WireServer
 
 @pytest.fixture
 def food_client():
-    return LocalClient(WireServer(reference.food_server_config()), endpoint="local:food")
+    return LocalClient(WireServer(scenario.food_server_config()), endpoint="local:food")
 
 
 @pytest.fixture
 def directory_client():
-    return LocalClient(DirectoryService(reference.scenario_directory()), endpoint="local:dir")
+    return LocalClient(DirectoryService(scenario.scenario_directory()), endpoint="local:dir")
 
 
 @pytest.fixture
 def scenario_context(food_client, directory_client):
-    return discover([food_client], directory_client, set(reference.SCENARIO_INPUTS))
+    return discover([food_client], directory_client, set(scenario.SCENARIO_INPUTS))
 
 
 @pytest.fixture
 def scenario_goal():
-    return Goal(intent="book_restaurant", bindings=dict(reference.SCENARIO_INPUTS))
+    return Goal(intent="book_restaurant", bindings=dict(scenario.SCENARIO_INPUTS))

@@ -318,5 +318,4 @@ def random_instance(rng: Random, with_facts: bool = False) -> ExecutionContext:
         directory=snapshot,
         provided_inputs=provided,
         server_routes={},
-        sealed_at=0,
     )

@@ -22,7 +22,7 @@ from oracles import (
     random_instance,
 )
 
-from dalia import reference
+import scenario
 from dalia.canonical import canonical_bytes
 from dalia.capabilities import CapabilityId
 from dalia.cli import main as cli_main
@@ -66,7 +66,6 @@ from dalia.wire import (
     encode_request,
     encode_response,
     parse_server_config,
-    server_config_to_json,
 )
 
 from test_wire import random_message
@@ -90,21 +89,21 @@ def criterion(number: int, description: str, budget_seconds: float):
 
 def _scenario_context(fail_on=None, scripts=None):
     server = LocalClient(
-        WireServer(reference.food_server_config(fail_on=fail_on, scripts=scripts)),
+        WireServer(scenario.food_server_config(fail_on=fail_on, scripts=scripts)),
         endpoint="food",
     )
-    directory = LocalClient(DirectoryService(reference.scenario_directory()), endpoint="dir")
-    return discover([server], directory, set(reference.SCENARIO_INPUTS))
+    directory = LocalClient(DirectoryService(scenario.scenario_directory()), endpoint="dir")
+    return discover([server], directory, set(scenario.SCENARIO_INPUTS))
 
 
 def _scenario_goal() -> Goal:
-    return Goal(intent="book_restaurant", bindings=dict(reference.SCENARIO_INPUTS))
+    return Goal(intent="book_restaurant", bindings=dict(scenario.SCENARIO_INPUTS))
 
 
 def _write_scenario_configs(tmp_path, fail_on=None):
-    server_doc = server_config_to_json(reference.food_server_config(fail_on=fail_on))
+    server_doc = scenario.food_server_doc(fail_on=fail_on)
     (tmp_path / "food_server.json").write_bytes(canonical_bytes(server_doc))
-    (tmp_path / "directory.json").write_bytes(save_snapshot(reference.scenario_directory()))
+    (tmp_path / "directory.json").write_bytes(save_snapshot(scenario.scenario_directory()))
     path = tmp_path / "orchestrator.json"
     path.write_text(
         json.dumps(
@@ -285,12 +284,12 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_closed_world_execution():
     with criterion(5, "exactly 0 discovery-class calls during plan and execute", 5.0):
         server = CountingClient(
-            LocalClient(WireServer(reference.food_server_config()), endpoint="food")
+            LocalClient(WireServer(scenario.food_server_config()), endpoint="food")
         )
         directory = CountingClient(
-            LocalClient(DirectoryService(reference.scenario_directory()), endpoint="dir")
+            LocalClient(DirectoryService(scenario.scenario_directory()), endpoint="dir")
         )
-        ctx = discover([server], directory, set(reference.SCENARIO_INPUTS))
+        ctx = discover([server], directory, set(scenario.SCENARIO_INPUTS))
         assert server.discovery_call_count() > 0  # discovery itself used the wire
 
         before = server.discovery_call_count() + directory.discovery_call_count()
@@ -322,7 +321,7 @@ def test_criterion_6_deterministic_failure_handling():
             return trace
 
         # (a) fail on the k-th invocation, at each position in the pipeline
-        for failing in (reference.SEARCH_ID, reference.RESERVE_ID):
+        for failing in (scenario.SEARCH_ID, scenario.RESERVE_ID):
             reference_trace = None
             for _ in range(20):
                 trace = run_fault(fail_on={failing: (1,)})
@@ -333,8 +332,8 @@ def test_criterion_6_deterministic_failure_handling():
 
         # (b) missing declared output
         scripts = {
-            reference.SEARCH_ID: ({"wrong_slot": "x"},),
-            reference.RESERVE_ID: ({"booking_confirmation": "ok"},),
+            scenario.SEARCH_ID: ({"wrong_slot": "x"},),
+            scenario.RESERVE_ID: ({"booking_confirmation": "ok"},),
         }
         reference_trace = None
         for _ in range(20):
@@ -349,7 +348,7 @@ def test_criterion_6_deterministic_failure_handling():
         # asserted, executed without it
         strict_goal = Goal(
             intent="book_restaurant",
-            bindings=dict(reference.SCENARIO_INPUTS),
+            bindings=dict(scenario.SCENARIO_INPUTS),
             initial_facts=frozenset({"payment_on_file"}),
         )
         scripts = None
@@ -357,7 +356,7 @@ def test_criterion_6_deterministic_failure_handling():
         for _ in range(20):
             ctx = _scenario_context()
             patched = dict(ctx.capabilities)
-            reserve = patched[reference.RESERVE_ID][0]
+            reserve = patched[scenario.RESERVE_ID][0]
             strict_reserve = type(reserve)(
                 capability_id=reserve.capability_id,
                 role=reserve.role,
@@ -367,14 +366,13 @@ def test_criterion_6_deterministic_failure_handling():
                 preconditions=("payment_on_file",) + reserve.preconditions,
                 postconditions=reserve.postconditions,
             )
-            patched[reference.RESERVE_ID] = (strict_reserve, reference.FOOD_SERVER_ID)
+            patched[scenario.RESERVE_ID] = (strict_reserve, scenario.FOOD_SERVER_ID)
             strict_ctx = type(ctx)(
                 capabilities=patched,
                 tasks=ctx.tasks,
                 directory=ctx.directory,
                 provided_inputs=ctx.provided_inputs,
                 server_routes=ctx.server_routes,
-                sealed_at=ctx.sealed_at,
             )
             graph = plan(strict_goal, strict_ctx)
             trace = execute(graph, goal, strict_ctx, build_invoker(strict_ctx))
@@ -388,7 +386,7 @@ def test_criterion_6_deterministic_failure_handling():
 def test_criterion_7_directory_federation_properties():
     with criterion(7, "directory persistence, derived views, and merge laws", 30.0):
         # no capability bodies in the persisted form
-        payload = save_snapshot(reference.scenario_directory()).decode("utf-8")
+        payload = save_snapshot(scenario.scenario_directory()).decode("utf-8")
         for marker in ('"inputs"', '"outputs"', '"preconditions"', '"postconditions"'):
             assert marker not in payload
 
@@ -455,12 +453,12 @@ def test_criterion_8_protocol_conformance():
             else:
                 assert decode_response(encode_response(message)) == message
 
-        client = LocalClient(WireServer(reference.food_server_config()))
+        client = LocalClient(WireServer(scenario.food_server_config()))
         with pytest.raises(WireError) as excinfo:
             client.call("no/such_method")
         assert excinfo.value.code == METHOD_NOT_FOUND
 
-        doc = server_config_to_json(reference.food_server_config())
+        doc = scenario.food_server_doc()
         doc["tasks"][0]["capabilities"].append("ghost.capability")
         with pytest.raises(ConfigInvalid):
             parse_server_config(doc)

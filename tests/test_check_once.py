@@ -15,7 +15,8 @@ from collections import Counter
 
 import pytest
 
-from dalia import capabilities, discovery, reference, wire
+import scenario
+from dalia import capabilities, discovery, wire
 from dalia.canonical import canonical_bytes
 from dalia.capabilities import MEMO_SIZE, MEMO_TEXT_LIMIT
 from dalia.cli import main
@@ -122,7 +123,7 @@ def test_a_local_run_checks_each_capability_once_per_check(tmp_path, monkeypatch
 
 
 def test_memos_stay_bounded_under_more_distinct_ids_than_they_hold():
-    client = LocalClient(DirectoryService(reference.scenario_directory()))
+    client = LocalClient(DirectoryService(scenario.scenario_directory()))
     sent = MEMO_SIZE + 500
     for i in range(sent):
         assert client.call("directory/resolve", {"capability_id": f"peer{i}.cap{i}"}) == []
@@ -148,7 +149,7 @@ def test_memos_stay_bounded_under_more_distinct_ids_than_they_hold():
 
 
 def test_strings_longer_than_the_limit_are_checked_but_not_kept():
-    client = LocalClient(DirectoryService(reference.scenario_directory()))
+    client = LocalClient(DirectoryService(scenario.scenario_directory()))
     memos = (capabilities._parse_id_text, capabilities._matches_identifier)
     for memo in memos:
         memo.cache_clear()

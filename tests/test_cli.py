@@ -13,20 +13,21 @@ from pathlib import Path
 import pytest
 
 import dalia
-from dalia import reference, wire
+import scenario
+from dalia import wire
 from dalia.canonical import canonical_bytes
 from dalia.cli import main
 from dalia.directory import save_snapshot, snapshot_to_json
-from dalia.wire import TcpServerHandle, WireServer, server_config_to_json
+from dalia.wire import TcpServerHandle, WireServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_INPUT_ARGS = ["location=city centre", "date=tomorrow", "party_size=4"]
 
 
 def write_scenario_configs(tmp_path: Path, fail_on=None) -> Path:
-    server_doc = server_config_to_json(reference.food_server_config(fail_on=fail_on))
+    server_doc = scenario.food_server_doc(fail_on=fail_on)
     (tmp_path / "food_server.json").write_bytes(canonical_bytes(server_doc))
-    (tmp_path / "directory.json").write_bytes(save_snapshot(reference.scenario_directory()))
+    (tmp_path / "directory.json").write_bytes(save_snapshot(scenario.scenario_directory()))
     config = {
         "servers": ["local:food_server.json"],
         "directory": "local:directory.json",
@@ -150,11 +151,11 @@ def test_run_scenario_completes(tmp_path):
     assert code == 0
     trace = json.loads(output)
     assert trace["outcome"] == "completed"
-    assert trace["final_bindings"]["booking_confirmation"] == reference.BOOKING_CONFIRMATION
+    assert trace["final_bindings"]["booking_confirmation"] == scenario.BOOKING_CONFIRMATION
 
 
 def test_run_aborted_exits_4(tmp_path):
-    config = write_scenario_configs(tmp_path, fail_on={reference.SEARCH_ID: (1,)})
+    config = write_scenario_configs(tmp_path, fail_on={scenario.SEARCH_ID: (1,)})
     code, output = run_cli(
         [
             "run",
@@ -207,7 +208,7 @@ def test_usage_errors_exit_1(tmp_path):
 
 
 def test_server_serve_rejects_broken_config(tmp_path):
-    doc = server_config_to_json(reference.food_server_config())
+    doc = scenario.food_server_doc()
     doc["tasks"][0]["capabilities"].append("ghost.capability")
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -216,7 +217,7 @@ def test_server_serve_rejects_broken_config(tmp_path):
 
 
 def test_server_serve_stdio_subprocess(tmp_path):
-    server_doc = server_config_to_json(reference.food_server_config())
+    server_doc = scenario.food_server_doc()
     path = tmp_path / "food_server.json"
     path.write_bytes(canonical_bytes(server_doc))
     request = {"jsonrpc": "2.0", "id": 1, "method": "dalia/list_capabilities", "params": {}}
@@ -238,7 +239,7 @@ def test_server_serve_stdio_subprocess(tmp_path):
 
 def test_directory_serve_snapshot_round_trip(tmp_path):
     snapshot_path = tmp_path / "directory.json"
-    original = save_snapshot(reference.scenario_directory()) + b"\n"
+    original = save_snapshot(scenario.scenario_directory()) + b"\n"
     snapshot_path.write_bytes(original)
     proc = subprocess.run(
         [
@@ -263,9 +264,9 @@ def test_directory_serve_snapshot_round_trip(tmp_path):
 def test_pipeline_over_tcp_endpoints(tmp_path):
     from dalia.wire import DirectoryService
 
-    server_handle = TcpServerHandle(WireServer(reference.food_server_config()), "127.0.0.1:0")
+    server_handle = TcpServerHandle(WireServer(scenario.food_server_config()), "127.0.0.1:0")
     directory_handle = TcpServerHandle(
-        DirectoryService(reference.scenario_directory()), "127.0.0.1:0"
+        DirectoryService(scenario.scenario_directory()), "127.0.0.1:0"
     )
     try:
         config = tmp_path / "orchestrator.json"
@@ -323,7 +324,7 @@ def test_silent_endpoint_during_discovery_exits_2(tmp_path, monkeypatch, capsys)
 def test_silent_endpoint_during_invoke_aborts_the_trace_and_exits_4(tmp_path, monkeypatch):
     monkeypatch.setattr(wire, "CLIENT_TIMEOUT_SECONDS", 0.3)
     release = threading.Event()
-    server = WireServer(reference.food_server_config())
+    server = WireServer(scenario.food_server_config())
     invoke = server._methods["dalia/invoke"]
 
     def blocked_invoke(params):
@@ -374,7 +375,7 @@ _DEEP = b"[" * 200_000
 
 def _food_server_with_number(literal: str) -> bytes:
     """The food server config with ``literal`` as a value in a handler script."""
-    doc = server_config_to_json(reference.food_server_config())
+    doc = scenario.food_server_doc()
     doc["handlers"]["restaurant.search"]["script"] = [{"restaurant_list": "__number__"}]
     return json.dumps(doc).replace('"__number__"', literal).encode()
 

@@ -4,9 +4,11 @@ import socket
 
 import pytest
 
-from dalia import discovery, reference
+import scenario
+from dalia import discovery
+from dalia.atdp import TaskDeclaration
 from dalia.canonical import canonical_bytes
-from dalia.capabilities import CapabilityId
+from dalia.capabilities import Capability, CapabilityId
 from dalia.discovery import build_invoker, context_fingerprint, discover, feasibility
 from dalia.errors import (
     DuplicateCapabilityId,
@@ -24,27 +26,26 @@ from dalia.wire import (
     TcpServerHandle,
     WireServer,
     parse_tcp_address,
-    server_config_to_json,
 )
 
 BOOKING = CapabilityId("restaurant", "booking")
 
 
 def _scenario_clients():
-    server = LocalClient(WireServer(reference.food_server_config()), endpoint="food")
-    directory = LocalClient(DirectoryService(reference.scenario_directory()), endpoint="dir")
+    server = LocalClient(WireServer(scenario.food_server_config()), endpoint="food")
+    directory = LocalClient(DirectoryService(scenario.scenario_directory()), endpoint="dir")
     return server, directory
 
 
 def test_discover_scenario_builds_sealed_context():
     server, directory = _scenario_clients()
-    ctx = discover([server], directory, set(reference.SCENARIO_INPUTS))
+    ctx = discover([server], directory, set(scenario.SCENARIO_INPUTS))
     assert len(ctx.capabilities) == 2
     assert len(ctx.tasks) == 1
     assert feasibility(ctx)[BOOKING].feasible
-    assert ctx.provider(reference.SEARCH_ID) == reference.FOOD_SERVER_ID
+    assert ctx.provider(scenario.SEARCH_ID) == scenario.FOOD_SERVER_ID
     assert "RestaurantAgent" in ctx.directory.agents
-    assert ctx.server_routes[reference.FOOD_SERVER_ID] is server
+    assert ctx.server_routes[scenario.FOOD_SERVER_ID] is server
 
 
 def test_feasibility_is_computed_only_on_request(monkeypatch, scenario_goal):
@@ -57,7 +58,7 @@ def test_feasibility_is_computed_only_on_request(monkeypatch, scenario_goal):
 
     monkeypatch.setattr(discovery, "check_feasibility", counting)
     server, directory = _scenario_clients()
-    ctx = discover([server], directory, set(reference.SCENARIO_INPUTS))
+    ctx = discover([server], directory, set(scenario.SCENARIO_INPUTS))
     trace = execute(plan(scenario_goal, ctx), scenario_goal, ctx, build_invoker(ctx))
     assert trace.outcome == "completed"
     assert reports == []
@@ -76,9 +77,8 @@ def test_discover_zero_servers_empty_directory():
 
 def test_repeated_discovery_is_deterministic():
     server, directory = _scenario_clients()
-    first = discover([server], directory, set(reference.SCENARIO_INPUTS))
-    second = discover([server], directory, set(reference.SCENARIO_INPUTS))
-    assert first.sealed_at != second.sealed_at
+    first = discover([server], directory, set(scenario.SCENARIO_INPUTS))
+    second = discover([server], directory, set(scenario.SCENARIO_INPUTS))
     assert first.capabilities == second.capabilities
     assert first.tasks == second.tasks
     assert first.directory == second.directory
@@ -88,12 +88,12 @@ def test_repeated_discovery_is_deterministic():
 
 def test_fingerprint_changes_when_a_capability_is_added():
     server, directory = _scenario_clients()
-    base = discover([server], directory, set(reference.SCENARIO_INPUTS))
+    base = discover([server], directory, set(scenario.SCENARIO_INPUTS))
 
     extra = ServerConfig(
         server_id="extra_server",
         capabilities=(
-            reference.search_capability().__class__(
+            Capability(
                 capability_id=CapabilityId("maps", "lookup"),
                 role="information_retrieval",
                 domain="maps",
@@ -106,7 +106,7 @@ def test_fingerprint_changes_when_a_capability_is_added():
     enlarged = discover(
         [server, LocalClient(WireServer(extra), endpoint="extra")],
         directory,
-        set(reference.SCENARIO_INPUTS),
+        set(scenario.SCENARIO_INPUTS),
     )
     assert context_fingerprint(base) != context_fingerprint(enlarged)
 
@@ -127,7 +127,7 @@ def test_unreachable_endpoint_fails_atomically():
 
 def test_duplicate_capability_id_across_servers_is_an_error():
     server_a, directory = _scenario_clients()
-    clone = reference.food_server_config()
+    clone = scenario.food_server_config()
     clone_b = ServerConfig(
         server_id="mcp_food_clone",
         capabilities=clone.capabilities,
@@ -145,7 +145,7 @@ def test_duplicate_task_id_across_servers_is_an_error():
     other = ServerConfig(
         server_id="other_food_server",
         capabilities=(
-            reference.search_capability().__class__(
+            Capability(
                 capability_id=CapabilityId("bistro", "search"),
                 role="information_retrieval",
                 domain="food",
@@ -154,7 +154,7 @@ def test_duplicate_task_id_across_servers_is_an_error():
             ),
         ),
         tasks=(
-            reference.booking_task().__class__(
+            TaskDeclaration(
                 task_id=BOOKING,
                 intent="book_bistro",
                 inputs=("location",),
@@ -173,7 +173,7 @@ def test_closed_world_no_discovery_calls_during_plan_and_execute(scenario_goal):
     counting_server = CountingClient(server)
     counting_directory = CountingClient(directory)
     ctx = discover(
-        [counting_server], counting_directory, set(reference.SCENARIO_INPUTS)
+        [counting_server], counting_directory, set(scenario.SCENARIO_INPUTS)
     )
     assert counting_server.discovery_call_count() > 0
 
@@ -195,7 +195,7 @@ def test_closed_world_no_discovery_calls_during_plan_and_execute(scenario_goal):
 
 def test_context_invariant_task_refs_resolve_or_flag_infeasible():
     server, directory = _scenario_clients()
-    ctx = discover([server], directory, set(reference.SCENARIO_INPUTS))
+    ctx = discover([server], directory, set(scenario.SCENARIO_INPUTS))
     reports = feasibility(ctx)
     for task_id, task in ctx.tasks.items():
         for cid in task.capabilities:
@@ -204,24 +204,24 @@ def test_context_invariant_task_refs_resolve_or_flag_infeasible():
 
 def test_invoker_serves_the_local_server_discovery_sealed(tmp_path, scenario_goal):
     path = tmp_path / "food.json"
-    path.write_bytes(canonical_bytes(server_config_to_json(reference.food_server_config())))
+    path.write_bytes(canonical_bytes(scenario.food_server_doc()))
     _, directory = _scenario_clients()
-    ctx = discover([f"local:{path}"], directory, set(reference.SCENARIO_INPUTS))
-    rewritten = reference.food_server_config(
-        fail_on={reference.RESERVE_ID: (1,)},
-        scripts={reference.SEARCH_ID: ({"restaurant_list": ["rewritten"]},)},
+    ctx = discover([f"local:{path}"], directory, set(scenario.SCENARIO_INPUTS))
+    rewritten = scenario.food_server_doc(
+        fail_on={scenario.RESERVE_ID: (1,)},
+        scripts={scenario.SEARCH_ID: ({"restaurant_list": ["rewritten"]},)},
     )
-    path.write_bytes(canonical_bytes(server_config_to_json(rewritten)))
+    path.write_bytes(canonical_bytes(rewritten))
 
     trace = execute(plan(scenario_goal, ctx), scenario_goal, ctx, build_invoker(ctx))
     assert trace.outcome == "completed"
-    assert trace.final_bindings["restaurant_list"] == reference.RESTAURANT_LIST
-    assert trace.final_bindings["booking_confirmation"] == reference.BOOKING_CONFIRMATION
+    assert trace.final_bindings["restaurant_list"] == scenario.RESTAURANT_LIST
+    assert trace.final_bindings["booking_confirmation"] == scenario.BOOKING_CONFIRMATION
 
 
 def test_goal_over_tcp_opens_each_endpoint_once(monkeypatch, scenario_goal):
-    food = TcpServerHandle(WireServer(reference.food_server_config()), "127.0.0.1:0")
-    directory = TcpServerHandle(DirectoryService(reference.scenario_directory()), "127.0.0.1:0")
+    food = TcpServerHandle(WireServer(scenario.food_server_config()), "127.0.0.1:0")
+    directory = TcpServerHandle(DirectoryService(scenario.scenario_directory()), "127.0.0.1:0")
     opened = []
     original = socket.create_connection
 
@@ -233,7 +233,7 @@ def test_goal_over_tcp_opens_each_endpoint_once(monkeypatch, scenario_goal):
     ctx = None
     try:
         ctx = discover(
-            [f"tcp:{food.address}"], f"tcp:{directory.address}", set(reference.SCENARIO_INPUTS)
+            [f"tcp:{food.address}"], f"tcp:{directory.address}", set(scenario.SCENARIO_INPUTS)
         )
         trace = execute(plan(scenario_goal, ctx), scenario_goal, ctx, build_invoker(ctx))
         assert trace.outcome == "completed"

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import all_topological_orders, cyclic_core, random_instance
 
-from dalia import reference
+import scenario
 from dalia.capabilities import Capability, CapabilityId
 from dalia.discovery import build_invoker
 from dalia.errors import CycleDetected, InvalidGraph, PlanningError, WireError
@@ -55,8 +55,8 @@ def test_canonical_order_scenario(scenario_context, scenario_goal):
     graph = plan(scenario_goal, scenario_context)
     order = canonical_order(graph)
     assert [graph.node(nid).capability_id for nid in order] == [
-        reference.SEARCH_ID,
-        reference.RESERVE_ID,
+        scenario.SEARCH_ID,
+        scenario.RESERVE_ID,
     ]
 
 
@@ -199,12 +199,12 @@ def test_execute_scenario_completes(scenario_context, scenario_goal):
     graph, trace = _scenario_run(scenario_context, scenario_goal)
     assert trace.outcome == OUTCOME_COMPLETED
     search_step, reserve_step = trace.steps
-    assert search_step.capability_id == reference.SEARCH_ID
+    assert search_step.capability_id == scenario.SEARCH_ID
     assert search_step.status == STATUS_SUCCEEDED
-    assert search_step.outputs_received == {"restaurant_list": reference.RESTAURANT_LIST}
+    assert search_step.outputs_received == {"restaurant_list": scenario.RESTAURANT_LIST}
     assert reserve_step.status == STATUS_SUCCEEDED
-    assert reserve_step.inputs_used["restaurant_list"] == reference.RESTAURANT_LIST
-    assert trace.final_bindings["booking_confirmation"] == reference.BOOKING_CONFIRMATION
+    assert reserve_step.inputs_used["restaurant_list"] == scenario.RESTAURANT_LIST
+    assert trace.final_bindings["booking_confirmation"] == scenario.BOOKING_CONFIRMATION
     assert replay_check(trace, graph).ok
 
 
@@ -220,15 +220,15 @@ def _faulty_context(fail_on=None, scripts=None):
     from dalia.wire import DirectoryService, LocalClient, WireServer
 
     server = LocalClient(
-        WireServer(reference.food_server_config(fail_on=fail_on, scripts=scripts)),
+        WireServer(scenario.food_server_config(fail_on=fail_on, scripts=scripts)),
         endpoint="faulty",
     )
-    directory = LocalClient(DirectoryService(reference.scenario_directory()), endpoint="dir")
-    return discover([server], directory, set(reference.SCENARIO_INPUTS))
+    directory = LocalClient(DirectoryService(scenario.scenario_directory()), endpoint="dir")
+    return discover([server], directory, set(scenario.SCENARIO_INPUTS))
 
 
 def test_execute_aborts_when_search_fails(scenario_goal):
-    ctx = _faulty_context(fail_on={reference.SEARCH_ID: (1,)})
+    ctx = _faulty_context(fail_on={scenario.SEARCH_ID: (1,)})
     graph = plan(scenario_goal, ctx)
     trace = execute(graph, scenario_goal, ctx, build_invoker(ctx))
     assert trace.outcome == OUTCOME_ABORTED
@@ -243,8 +243,8 @@ def test_execute_aborts_when_search_fails(scenario_goal):
 def test_execute_fails_on_missing_declared_output(scenario_goal):
     ctx = _faulty_context(
         scripts={
-            reference.SEARCH_ID: ({"unrelated": "payload"},),
-            reference.RESERVE_ID: ({"booking_confirmation": "ok"},),
+            scenario.SEARCH_ID: ({"unrelated": "payload"},),
+            scenario.RESERVE_ID: ({"booking_confirmation": "ok"},),
         }
     )
     graph = plan(scenario_goal, ctx)
@@ -258,10 +258,10 @@ def test_execute_fails_on_missing_declared_output(scenario_goal):
 def test_execute_fails_on_undeclared_extra_output(scenario_goal):
     ctx = _faulty_context(
         scripts={
-            reference.SEARCH_ID: (
+            scenario.SEARCH_ID: (
                 {"restaurant_list": ["x"], "smuggled": "data"},
             ),
-            reference.RESERVE_ID: ({"booking_confirmation": "ok"},),
+            scenario.RESERVE_ID: ({"booking_confirmation": "ok"},),
         }
     )
     graph = plan(scenario_goal, ctx)
@@ -360,7 +360,7 @@ def test_canonical_order_is_computed_once_per_graph(
 
 
 def test_abort_prefix_property_over_fault_positions(scenario_goal):
-    for failing in (reference.SEARCH_ID, reference.RESERVE_ID):
+    for failing in (scenario.SEARCH_ID, scenario.RESERVE_ID):
         ctx = _faulty_context(fail_on={failing: (1,)})
         graph = plan(scenario_goal, ctx)
         trace = execute(graph, scenario_goal, ctx, build_invoker(ctx))

@@ -21,6 +21,7 @@ from dalia.errors import (
     AmbiguousIntent,
     CycleDetected,
     InvalidGraph,
+    MalformedDocument,
     NoEligibleAgent,
     NoSuchTask,
     PlanningError,
@@ -43,7 +44,7 @@ from dalia.planner import (
     synthesize_graph,
     validate_graph,
 )
-from dalia import reference
+import scenario
 
 
 def build_ctx(
@@ -70,7 +71,6 @@ def build_ctx(
         directory=snapshot,
         provided_inputs=frozenset(provided),
         server_routes={},
-        sealed_at=1,
     )
 
 
@@ -131,8 +131,8 @@ def test_scenario_graph_two_nodes_one_edge(scenario_ctx, scenario_goal):
     assert len(graph.edges) == 1
     edge = graph.edges[0]
     assert edge.slot == "restaurant_list"
-    assert graph.node(edge.from_node).capability_id == reference.SEARCH_ID
-    assert graph.node(edge.to_node).capability_id == reference.RESERVE_ID
+    assert graph.node(edge.from_node).capability_id == scenario.SEARCH_ID
+    assert graph.node(edge.to_node).capability_id == scenario.RESERVE_ID
     assert graph.source_bindings == ("date", "location", "party_size")
 
 
@@ -208,7 +208,7 @@ def test_precondition_unschedulable_raises_at_synthesis():
 def test_assign_agents_scenario(scenario_ctx, scenario_goal):
     graph = plan(scenario_goal, scenario_ctx)
     assert {node.agent_id for node in graph.nodes} == {"RestaurantAgent"}
-    assert {node.server_id for node in graph.nodes} == {reference.FOOD_SERVER_ID}
+    assert {node.server_id for node in graph.nodes} == {scenario.FOOD_SERVER_ID}
 
 
 def test_assign_agents_lexicographic_tie_break():
@@ -259,13 +259,12 @@ def test_validate_flags_unknown_capability(scenario_ctx, scenario_goal):
         capabilities={
             cid: pair
             for cid, pair in scenario_ctx.capabilities.items()
-            if cid != reference.RESERVE_ID
+            if cid != scenario.RESERVE_ID
         },
         tasks=scenario_ctx.tasks,
         directory=scenario_ctx.directory,
         provided_inputs=scenario_ctx.provided_inputs,
         server_routes=scenario_ctx.server_routes,
-        sealed_at=scenario_ctx.sealed_at,
     )
     report = validate_graph(graph, scenario_goal, corrupted_ctx)
     assert any("undeclared capability" in v for v in report.violations)
@@ -274,7 +273,7 @@ def test_validate_flags_unknown_capability(scenario_ctx, scenario_goal):
 def test_validate_flags_unsatisfiable_precondition(scenario_ctx, scenario_goal):
     graph = plan(scenario_goal, scenario_ctx)
     strict = Capability(
-        capability_id=reference.RESERVE_ID,
+        capability_id=scenario.RESERVE_ID,
         role="transaction",
         domain="food",
         inputs=("restaurant_list", "date", "party_size"),
@@ -283,14 +282,13 @@ def test_validate_flags_unsatisfiable_precondition(scenario_ctx, scenario_goal):
         postconditions=("booking_confirmed",),
     )
     patched = dict(scenario_ctx.capabilities)
-    patched[reference.RESERVE_ID] = (strict, reference.FOOD_SERVER_ID)
+    patched[scenario.RESERVE_ID] = (strict, scenario.FOOD_SERVER_ID)
     ctx = ExecutionContext(
         capabilities=patched,
         tasks=scenario_ctx.tasks,
         directory=scenario_ctx.directory,
         provided_inputs=scenario_ctx.provided_inputs,
         server_routes=scenario_ctx.server_routes,
-        sealed_at=scenario_ctx.sealed_at,
     )
     report = validate_graph(graph, scenario_goal, ctx)
     assert any("payment_on_file" in v for v in report.violations)
@@ -332,8 +330,40 @@ def test_graph_serialization_round_trip(scenario_ctx, scenario_goal):
     payload = canonical_serialize_graph(graph)
     assert payload == canonical_serialize_graph(graph)
     assert parse_graph(payload) == graph
+    assert canonical_serialize_graph(parse_graph(payload)) == payload
     doc = json.loads(payload)
     assert list(doc) == ["task_id", "nodes", "edges", "source_bindings"]
+
+
+def _set(part, name, value):
+    return lambda doc: doc[part][0].update({name: value})
+
+
+_WRONG_TYPES = {
+    "node_id-list": _set("nodes", "node_id", [0]),
+    "node_id-bool": _set("nodes", "node_id", True),
+    "node_id-string": _set("nodes", "node_id", "0"),
+    "node_id-float": _set("nodes", "node_id", 1.0),
+    "capability_id-int": _set("nodes", "capability_id", 5),
+    "agent_id-list": _set("nodes", "agent_id", ["RestaurantAgent"]),
+    "server_id-null": _set("nodes", "server_id", None),
+    "from_node-list": _set("edges", "from_node", [1]),
+    "to_node-bool": _set("edges", "to_node", False),
+    "slot-object": _set("edges", "slot", {"restaurant_list": 1}),
+    "node-missing-field": lambda doc: doc["nodes"][0].pop("agent_id"),
+    "node-not-object": lambda doc: doc["nodes"].append("node"),
+    "edge-not-object": lambda doc: doc["edges"].append([0, 1, "slot"]),
+    "source_bindings-object": lambda doc: doc.update(source_bindings=[{"location": 1}]),
+    "source_bindings-int": lambda doc: doc.update(source_bindings=["date", 4]),
+}
+
+
+@pytest.mark.parametrize("mutate", list(_WRONG_TYPES.values()), ids=list(_WRONG_TYPES))
+def test_parse_graph_refuses_fields_of_the_wrong_type(scenario_ctx, scenario_goal, mutate):
+    doc = json.loads(canonical_serialize_graph(plan(scenario_goal, scenario_ctx)))
+    mutate(doc)
+    with pytest.raises(MalformedDocument):
+        parse_graph(json.dumps(doc))
 
 
 def test_dot_export_scenario(scenario_ctx, scenario_goal):

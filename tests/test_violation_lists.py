@@ -16,16 +16,23 @@ import json
 
 import pytest
 
-from dalia import reference
+import scenario
 from dalia.atdp import parse_task
 from dalia.canonical import canonical_bytes
 from dalia.capabilities import Capability, CapabilityId, parse_capability
 from dalia.cli import main
-from dalia.directory import bind_server_capabilities, empty_snapshot, load_snapshot, save_snapshot
+from dalia.directory import (
+    bind_server_capabilities,
+    empty_snapshot,
+    load_snapshot,
+    parse_agent_record,
+    save_snapshot,
+)
 from dalia.discovery import discover
 from dalia.errors import (
     ConfigInvalid,
     InvalidCapabilityId,
+    InvalidRecord,
     InvariantViolation,
     MalformedDocument,
     ProtocolError,
@@ -38,7 +45,6 @@ from dalia.wire import (
     ServerConfig,
     WireServer,
     parse_server_config,
-    server_config_to_json,
 )
 
 
@@ -169,7 +175,7 @@ def test_task_with_an_empty_pool():
 
 
 def test_server_config_problems_from_every_part_in_order():
-    doc = server_config_to_json(reference.food_server_config())
+    doc = scenario.food_server_doc()
     doc["server_id"] = 5
     doc["colour"] = "red"
     doc["capabilities"].append(dict(doc["capabilities"][0]))
@@ -246,7 +252,7 @@ def test_wire_server_refuses_a_hand_built_capability_with_a_bad_slot():
 
 def test_wire_server_lists_every_problem_of_a_hand_built_config():
     bad_id = Capability(CapabilityId("Rest", "x.y"), "r", "d", ("a", "a"), ("a",))
-    task = reference.food_server_config().tasks[0]
+    task = scenario.food_server_config().tasks[0]
     config = ServerConfig("Bad Server", (_bad_slot(), bad_id, _bad_slot()), (task,))
     assert _violations(ConfigInvalid, WireServer, config) == [
         "server_id is not a lowercase identifier: 'Bad Server'",
@@ -255,7 +261,6 @@ def test_wire_server_lists_every_problem_of_a_hand_built_config():
         "capability Rest.x.y: capability_id must have exactly two dot-separated segments: 'Rest.x.y'",
         "capability Rest.x.y: duplicate entry 'a' in inputs",
         "capability Rest.x.y: slot 'a' appears in both inputs and outputs",
-        "capability restaurant.search: inputs entry is not a lowercase identifier: 'Not-A-Slot'",
         "task restaurant.booking references undeclared capability restaurant.reserve",
     ]
 
@@ -264,7 +269,7 @@ def test_wire_server_lists_every_problem_of_a_hand_built_config():
 
 
 def _snapshot_doc() -> dict:
-    return json.loads(save_snapshot(reference.scenario_directory()))
+    return json.loads(save_snapshot(scenario.scenario_directory()))
 
 
 def _drop_origin_and_agents(doc):
@@ -281,7 +286,13 @@ def _drop_origin_and_agents(doc):
             lambda doc: doc["agents"]["RestaurantAgent"].update(
                 accessible_servers=["Bad", "Bad"], role=1, extra=1
             ),
-            ["agent 'RestaurantAgent': unexpected field 'extra'"],
+            [
+                "agent 'RestaurantAgent': unexpected field 'extra'",
+                "agent 'RestaurantAgent': role must be a string",
+                "agent 'RestaurantAgent': not a valid server id: 'Bad'",
+                "agent 'RestaurantAgent': not a valid server id: 'Bad'",
+                "agent 'RestaurantAgent': duplicate accessible server 'Bad'",
+            ],
         ),
         (
             lambda doc: doc["agents"]["RestaurantAgent"].update(accessible_servers="x"),
@@ -320,6 +331,35 @@ def test_snapshot_problems(mutate, expected):
     assert _violations(MalformedDocument, load_snapshot, json.dumps(doc)) == expected
 
 
+@pytest.mark.parametrize(
+    "document, expected",
+    [
+        (
+            {"agent_id": "a", "role": 5, "domains": [], "accessible_servers": ["Bad", "Bad"],
+             "extra": 1},
+            [
+                "unexpected field 'extra'",
+                "role must be a string",
+                "not a valid server id: 'Bad'",
+                "not a valid server id: 'Bad'",
+                "duplicate accessible server 'Bad'",
+            ],
+        ),
+        # A missing field or a list of non-strings leaves no record to check.
+        (
+            {"agent_id": "a", "domains": [], "accessible_servers": ["Bad"], "extra": 1},
+            ["missing field 'role'", "unexpected field 'extra'"],
+        ),
+        (
+            {"agent_id": "", "role": 5, "domains": [1], "accessible_servers": ["Bad"]},
+            ["domains must be a list of strings"],
+        ),
+    ],
+)
+def test_agent_record_problems(document, expected):
+    assert _violations(InvalidRecord, parse_agent_record, document) == expected
+
+
 def test_snapshot_that_does_not_decode():
     assert _violations(MalformedDocument, load_snapshot, "nope") == [
         "snapshot document is not strict JSON: Expecting value: line 1 column 1 (char 0)"
@@ -338,7 +378,7 @@ def test_binding_problems_directly_and_over_the_wire(capability_ids, message):
     with pytest.raises(InvalidCapabilityId) as caught:
         bind_server_capabilities(empty_snapshot(), "s", capability_ids)
     assert str(caught.value) == message
-    client = LocalClient(DirectoryService(reference.scenario_directory()))
+    client = LocalClient(DirectoryService(scenario.scenario_directory()))
     with pytest.raises(WireError) as over_wire:
         client.call("directory/bind_server", {"server_id": "s", "capability_ids": capability_ids})
     assert (over_wire.value.code, over_wire.value.message) == (-32012, message)
@@ -358,7 +398,7 @@ def test_binding_problems_directly_and_over_the_wire(capability_ids, message):
     ],
 )
 def test_resolve_of_a_bad_id_names_every_problem(raw_id, message):
-    client = LocalClient(DirectoryService(reference.scenario_directory()))
+    client = LocalClient(DirectoryService(scenario.scenario_directory()))
     with pytest.raises(WireError) as caught:
         client.call("directory/resolve", {"capability_id": raw_id})
     assert (caught.value.code, caught.value.message) == (-32012, message)
@@ -374,7 +414,7 @@ def test_resolve_of_a_bad_id_names_every_problem(raw_id, message):
     ],
 )
 def test_invoke_of_a_bad_or_unknown_id(raw_id, message):
-    client = LocalClient(WireServer(reference.food_server_config()))
+    client = LocalClient(WireServer(scenario.food_server_config()))
     with pytest.raises(WireError) as caught:
         client.call("dalia/invoke", {"capability_id": raw_id, "inputs": {}})
     assert (caught.value.code, caught.value.message) == (-32001, message)
@@ -404,8 +444,8 @@ class _ReturnsBrokenCapability(WireServer):
 
 
 def test_discover_refuses_a_bad_capability_document_from_a_server():
-    server = LocalClient(_ReturnsBrokenCapability(reference.food_server_config()))
-    directory = LocalClient(DirectoryService(reference.scenario_directory()))
+    server = LocalClient(_ReturnsBrokenCapability(scenario.food_server_config()))
+    directory = LocalClient(DirectoryService(scenario.scenario_directory()))
     with pytest.raises(ProtocolError) as caught:
         discover([server], directory, set())
     assert str(caught.value) == BROKEN_SEARCH_MESSAGE
@@ -416,8 +456,8 @@ def test_discover_refuses_a_bad_task_document_from_a_server():
         def _list_tasks(self, params: dict) -> list[dict]:
             return [{"task_id": "t", "intent": "i", "inputs": [], "outputs": ["o"], "capabilities": ["a.b"]}]
 
-    server = LocalClient(ReturnsBrokenTask(reference.food_server_config()))
-    directory = LocalClient(DirectoryService(reference.scenario_directory()))
+    server = LocalClient(ReturnsBrokenTask(scenario.food_server_config()))
+    directory = LocalClient(DirectoryService(scenario.scenario_directory()))
     with pytest.raises(ProtocolError) as caught:
         discover([server], directory, set())
     assert str(caught.value) == (
@@ -433,8 +473,8 @@ def test_discover_refuses_a_bad_snapshot_from_the_directory():
             doc["server_capabilities"]["s"] = ["a.b", "a.B"]
             return doc
 
-    server = LocalClient(WireServer(reference.food_server_config()))
-    directory = LocalClient(ReturnsBrokenSnapshot(reference.scenario_directory()))
+    server = LocalClient(WireServer(scenario.food_server_config()))
+    directory = LocalClient(ReturnsBrokenSnapshot(scenario.scenario_directory()))
     with pytest.raises(ProtocolError) as caught:
         discover([server], directory, set())
     assert str(caught.value) == (
@@ -444,9 +484,9 @@ def test_discover_refuses_a_bad_snapshot_from_the_directory():
 
 
 def test_cli_exits_2_on_a_bad_capability_document_from_a_server(tmp_path, monkeypatch, capsys):
-    server_doc = server_config_to_json(reference.food_server_config())
+    server_doc = scenario.food_server_doc()
     (tmp_path / "food_server.json").write_bytes(canonical_bytes(server_doc))
-    (tmp_path / "directory.json").write_bytes(save_snapshot(reference.scenario_directory()))
+    (tmp_path / "directory.json").write_bytes(save_snapshot(scenario.scenario_directory()))
     config = tmp_path / "orchestrator.json"
     config.write_text(
         json.dumps({"servers": ["local:food_server.json"], "directory": "local:directory.json"})

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dalia import reference, wire
+import scenario
+from dalia import wire
 from dalia.canonical import canonical_bytes
 from dalia.capabilities import CapabilityId
 from dalia.errors import (
@@ -44,13 +45,12 @@ from dalia.wire import (
     frame_block,
     parse_server_config,
     read_block,
-    server_config_to_json,
     serve_stdio,
 )
 
 
 def _food_server() -> WireServer:
-    return WireServer(reference.food_server_config())
+    return WireServer(scenario.food_server_config())
 
 
 def _client(server=None) -> LocalClient:
@@ -246,7 +246,7 @@ def test_invoke_scenario_search():
             "inputs": {"location": "city centre", "date": "tomorrow", "party_size": "4"},
         },
     )
-    assert result == {"restaurant_list": reference.RESTAURANT_LIST}
+    assert result == {"restaurant_list": scenario.RESTAURANT_LIST}
 
 
 def test_invoke_missing_input_slot():
@@ -278,13 +278,13 @@ def test_unknown_method_gives_32601_without_side_effects():
             "inputs": {"location": "a", "date": "b", "party_size": "c"},
         },
     )
-    assert result == {"restaurant_list": reference.RESTAURANT_LIST}
+    assert result == {"restaurant_list": scenario.RESTAURANT_LIST}
 
 
 def test_fault_injector_fails_exactly_on_kth_invocation():
     for _ in range(3):  # fresh server each run: identical behavior
-        config = reference.food_server_config(
-            fail_on={reference.SEARCH_ID: (2,)},
+        config = scenario.food_server_config(
+            fail_on={scenario.SEARCH_ID: (2,)},
         )
         client = LocalClient(WireServer(config))
         params = {
@@ -299,10 +299,10 @@ def test_fault_injector_fails_exactly_on_kth_invocation():
 
 
 def test_handler_script_repeats_last_entry():
-    config = reference.food_server_config(
+    config = scenario.food_server_config(
         scripts={
-            reference.SEARCH_ID: ({"restaurant_list": ["one"]}, {"restaurant_list": ["two"]}),
-            reference.RESERVE_ID: ({"booking_confirmation": "ok"},),
+            scenario.SEARCH_ID: ({"restaurant_list": ["one"]}, {"restaurant_list": ["two"]}),
+            scenario.RESERVE_ID: ({"booking_confirmation": "ok"},),
         }
     )
     client = LocalClient(WireServer(config))
@@ -318,7 +318,7 @@ def test_handler_script_repeats_last_entry():
 def test_default_handler_synthesizes_declared_outputs():
     config = ServerConfig(
         server_id="plain_server",
-        capabilities=(reference.search_capability(),),
+        capabilities=scenario.food_server_config().capabilities[:1],  # restaurant.search
         tasks=(),
     )
     client = LocalClient(WireServer(config))
@@ -336,14 +336,14 @@ def test_default_handler_synthesizes_declared_outputs():
 
 
 def test_parse_server_config_round_trip():
-    config = reference.food_server_config()
-    doc = server_config_to_json(config)
-    assert parse_server_config(doc) == config
+    doc = scenario.food_server_doc()
+    config = parse_server_config(doc)
     assert parse_server_config(canonical_bytes(doc)) == config
+    assert parse_server_config(json.dumps(doc, indent=2)) == config
 
 
 def test_config_rejects_task_referencing_undeclared_capability():
-    doc = server_config_to_json(reference.food_server_config())
+    doc = scenario.food_server_doc()
     doc["tasks"][0]["capabilities"].append("ghost.capability")
     with pytest.raises(ConfigInvalid) as excinfo:
         parse_server_config(doc)
@@ -351,14 +351,14 @@ def test_config_rejects_task_referencing_undeclared_capability():
 
 
 def test_config_rejects_duplicate_capability_ids():
-    doc = server_config_to_json(reference.food_server_config())
+    doc = scenario.food_server_doc()
     doc["capabilities"].append(doc["capabilities"][0])
     with pytest.raises(ConfigInvalid):
         parse_server_config(doc)
 
 
 def test_config_rejects_handler_for_undeclared_capability():
-    doc = server_config_to_json(reference.food_server_config())
+    doc = scenario.food_server_doc()
     doc["handlers"]["ghost.capability"] = {"script": [{"x": 1}]}
     with pytest.raises(ConfigInvalid):
         parse_server_config(doc)
@@ -518,7 +518,7 @@ def test_tcp_client_keeps_one_connection_across_calls(monkeypatch):
         for _ in range(25):
             assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
             assert client.call("dalia/invoke", SEARCH_PARAMS) == {
-                "restaurant_list": reference.RESTAURANT_LIST
+                "restaurant_list": scenario.RESTAURANT_LIST
             }
         assert len(opened) == 1
     finally:
@@ -540,7 +540,7 @@ def test_tcp_client_shared_by_threads_keeps_calls_apart(monkeypatch):
                     assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
                 else:
                     assert client.call("dalia/invoke", SEARCH_PARAMS) == {
-                        "restaurant_list": reference.RESTAURANT_LIST
+                        "restaurant_list": scenario.RESTAURANT_LIST
                     }
         except Exception as exc:  # collected and asserted on the main thread
             errors.append(exc)
@@ -570,9 +570,9 @@ def test_tcp_client_reconnects_once_after_a_server_restart(monkeypatch):
     try:
         assert client.call("dalia/invoke", SEARCH_PARAMS)
         handle.shutdown()
-        scripted = reference.food_server_config(
+        scripted = scenario.food_server_config(
             scripts={
-                reference.SEARCH_ID: (
+                scenario.SEARCH_ID: (
                     {"restaurant_list": ["first"]},
                     {"restaurant_list": ["second"]},
                 )
@@ -649,9 +649,9 @@ def test_tcp_shutdown_waits_for_running_handlers():
 
 
 def test_idle_tcp_server_shuts_down_promptly():
-    handle = TcpServerHandle(WireServer(reference.food_server_config()), "127.0.0.1:0")
+    handle = TcpServerHandle(WireServer(scenario.food_server_config()), "127.0.0.1:0")
     client = TcpClient(handle.address)
-    assert client.call("dalia/server_info") == {"server_id": reference.FOOD_SERVER_ID}
+    assert client.call("dalia/server_info") == {"server_id": scenario.FOOD_SERVER_ID}
     client.close()
     started = time.perf_counter()
     handle.shutdown()
@@ -773,41 +773,8 @@ def test_bind_failure_on_bad_address():
 
 def test_connect_server_local_endpoint(tmp_path):
     path = tmp_path / "food.json"
-    path.write_bytes(canonical_bytes(server_config_to_json(reference.food_server_config())))
+    path.write_bytes(canonical_bytes(scenario.food_server_doc()))
     client = connect_server(f"local:{path}")
     assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
     with pytest.raises(EndpointUnreachable):
         connect_server(f"local:{tmp_path / 'missing.json'}")
-
-
-def test_serve_starts_tcp_and_answers():
-    from dalia.wire import serve
-
-    handle = serve(reference.food_server_config(), "127.0.0.1:0")
-    client = TcpClient(handle.address)
-    try:
-        assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
-    finally:
-        client.close()
-        handle.shutdown()
-
-
-def test_serve_refuses_hand_built_invalid_config():
-    from dalia.atdp import TaskDeclaration
-    from dalia.wire import serve
-
-    broken = ServerConfig(
-        server_id="half_baked",
-        capabilities=(),
-        tasks=(
-            TaskDeclaration(
-                task_id=CapabilityId("t", "x"),
-                intent="x_intent",
-                inputs=(),
-                outputs=("out",),
-                capabilities=(CapabilityId("ghost", "capability"),),
-            ),
-        ),
-    )
-    with pytest.raises(ConfigInvalid):
-        serve(broken, "127.0.0.1:0")

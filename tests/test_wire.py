@@ -6,6 +6,7 @@ import socket
 import sys
 import threading
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -778,3 +779,114 @@ def test_connect_server_local_endpoint(tmp_path):
     assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
     with pytest.raises(EndpointUnreachable):
         connect_server(f"local:{tmp_path / 'missing.json'}")
+
+
+# -- the wire transcript -------------------------------------------------------------
+
+_TRANSCRIPT = Path(__file__).with_name("wire_transcript.txt")
+
+
+def _transcript(section: str) -> tuple[list[bytes], dict[str, list[bytes]]]:
+    """The requests of one ``[section]`` of wire_transcript.txt, and the
+    response lines each transport must answer them with."""
+    requests: list[bytes] = []
+    responses: dict[str, list[bytes]] = {"stdio": [], "tcp": []}
+    current = None
+    for line in _TRANSCRIPT.read_bytes().splitlines():
+        if line.startswith(b"["):
+            current = line[1:-1].decode()
+        elif current == section and not line.startswith(b"#"):
+            tag, _, body = line.partition(b" ")
+            if tag == b">":
+                requests.append(body)
+            for transport, lines in responses.items():
+                if tag in (b"<", b"<" + transport.encode()):
+                    lines.append(body)
+    return requests, responses
+
+
+_TRANSCRIPT_DISPATCHERS = {
+    "food_server": lambda: WireServer(scenario.food_server_config()),
+    "directory": lambda: DirectoryService(scenario.scenario_directory()),
+}
+
+
+@pytest.mark.parametrize("section", list(_TRANSCRIPT_DISPATCHERS))
+def test_wire_transcript_bytes_over_stdio(section):
+    requests, responses = _transcript(section)
+    assert len(requests) == len(responses["stdio"]) > 10
+    stdout = io.StringIO()
+    serve_stdio(
+        _TRANSCRIPT_DISPATCHERS[section](),
+        stdin=io.BytesIO(b"".join(request + b"\n" for request in requests)),
+        stdout=stdout,
+    )
+    assert stdout.getvalue().encode() == b"".join(line + b"\n" for line in responses["stdio"])
+
+
+@pytest.mark.parametrize("section", list(_TRANSCRIPT_DISPATCHERS))
+def test_wire_transcript_bytes_over_tcp(section):
+    requests, responses = _transcript(section)
+    assert len(requests) == len(responses["tcp"]) > 10
+    handle = TcpServerHandle(_TRANSCRIPT_DISPATCHERS[section](), "127.0.0.1:0")
+    try:
+        address = wire.parse_tcp_address(handle.address)
+        with socket.create_connection(address, timeout=10) as conn:
+            conn.sendall(b"".join(map(_framed, requests)))
+            conn.shutdown(socket.SHUT_WR)
+            with conn.makefile("rb") as reader:
+                received = reader.read()
+    finally:
+        handle.shutdown()
+    assert received == b"".join(map(_framed, responses["tcp"]))
+
+
+# -- client-side response checks ----------------------------------------------------
+
+
+class _StubDispatcher:
+    """Answers every request with ``reply(request_id)``."""
+
+    def __init__(self, reply):
+        self._reply = reply
+
+    def handle(self, obj: dict) -> dict:
+        return self._reply(obj["id"])
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        lambda rid: {"jsonrpc": "2.0", "id": rid + 1, "result": {}},
+        lambda rid: {"jsonrpc": "2.0", "id": None, "result": {}},
+        lambda rid: {"jsonrpc": "2.0", "id": rid, "result": {}, "extra": 1},
+        lambda rid: {"jsonrpc": "2.0", "id": rid},
+        lambda rid: {"jsonrpc": "2.0", "id": rid, "error": {"code": -32001}},
+        lambda rid: {"jsonrpc": "1.0", "id": rid, "result": {}},
+        lambda rid: {"jsonrpc": "2.0", "id": str(rid), "error": {"code": -32005, "message": "x"}},
+        lambda rid: [rid],
+    ],
+    ids=[
+        "other-id", "null-id", "extra-member", "no-result", "bad-error", "version",
+        "string-id-error", "array",
+    ],
+)
+def test_local_client_refuses_a_malformed_or_mismatched_response(reply):
+    with pytest.raises(ProtocolError):
+        LocalClient(_StubDispatcher(reply)).call("dalia/server_info")
+
+
+@pytest.mark.parametrize("response_id", [None, 1, 999])
+def test_local_client_raises_an_error_response_whatever_its_id(response_id):
+    client = LocalClient(
+        _StubDispatcher(
+            lambda rid: {
+                "jsonrpc": "2.0",
+                "id": response_id,
+                "error": {"code": -32005, "message": "refused"},
+            }
+        )
+    )
+    with pytest.raises(WireError) as excinfo:
+        client.call("dalia/server_info")
+    assert (excinfo.value.code, excinfo.value.message) == (-32005, "refused")

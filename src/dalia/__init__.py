@@ -6,13 +6,7 @@ and executes task graphs grounded exclusively in declared operations.
 """
 
 from .atdp import FeasibilityReport, TaskDeclaration, check_feasibility, parse_task
-from .capabilities import (
-    Capability,
-    CapabilityId,
-    canonical_serialize,
-    parse_capability,
-    validate_capability,
-)
+from .capabilities import Capability, CapabilityId, parse_capability, validate_capability
 from .directory import (
     AgentRecord,
     DirectorySnapshot,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .canonical import canonical_bytes
 from .capabilities import (
     Capability,
     CapabilityId,
@@ -119,11 +118,6 @@ def parse_task(document: Any) -> TaskDeclaration:
         outputs=tuple(lists["outputs"]),
         capabilities=tuple(capability_ids),
     )
-
-
-def canonical_serialize_task(task: TaskDeclaration) -> bytes:
-    """Byte-exact canonical form; parse_task inverts it."""
-    return canonical_bytes(task.to_json())
 
 
 def check_feasibility(

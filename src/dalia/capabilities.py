@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Sequence
 
-from .canonical import canonical_bytes, strict_loads
+from .canonical import strict_loads
 from .errors import (
     InvariantViolation,
     MalformedDocument,
@@ -269,8 +269,3 @@ def validate_capability(cap: Capability) -> ValidationReport:
             seen.add(token)
     report.violations += _capability_invariants(cap.inputs, cap.outputs, cap.postconditions)
     return report
-
-
-def canonical_serialize(cap: Capability) -> bytes:
-    """Byte-exact canonical form; parse_capability inverts it."""
-    return canonical_bytes(cap.to_json())

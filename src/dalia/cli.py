@@ -55,7 +55,6 @@ class _Parser(argparse.ArgumentParser):
 class OrchestratorConfig:
     servers: tuple[str, ...]
     directory: str
-    output_format: str = "json"
 
 
 def load_orchestrator_config(path: str) -> OrchestratorConfig:
@@ -65,22 +64,21 @@ def load_orchestrator_config(path: str) -> OrchestratorConfig:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except MalformedDocument as exc:
         raise UsageError(f"config {path}: {exc}") from exc
+    unknown = set(data) - {"servers", "directory"}
+    if unknown:
+        raise UsageError(f"unexpected config fields: {sorted(unknown)}")
     servers = data.get("servers")
     directory = data.get("directory")
-    output_format = data.get("output_format", "json")
     if not isinstance(servers, list) or not servers or not all(
         isinstance(s, str) for s in servers
     ):
         raise UsageError("config must list at least one server endpoint")
     if not isinstance(directory, str) or not directory:
         raise UsageError("config must name exactly one directory endpoint")
-    if output_format not in ("json", "dot", "text"):
-        raise UsageError(f"unknown output_format: {output_format!r}")
     base = Path(path).resolve().parent
     return OrchestratorConfig(
         tuple(_resolve_endpoint(s, base) for s in servers),
         _resolve_endpoint(directory, base),
-        output_format,
     )
 
 
@@ -186,7 +184,7 @@ def cmd_plan(args, out) -> int:
     report = validate_graph(graph, goal, ctx)
     if not report.ok:
         raise PlanningError("; ".join(report.violations))
-    if args.dot or config.output_format == "dot":
+    if args.dot:
         out.write(export_dot(graph))
     else:
         out.write(canonical_serialize_graph(graph).decode("utf-8") + "\n")

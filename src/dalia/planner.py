@@ -23,7 +23,7 @@ from typing import Any
 
 from .atdp import TaskDeclaration
 from .canonical import canonical_bytes
-from .capabilities import Capability, CapabilityId, load_document, parse_capability_id
+from .capabilities import Capability, CapabilityId, check_fields, load_document, parse_capability_id
 from .directory import resolve_capability
 from .discovery import ExecutionContext
 from .errors import (
@@ -382,24 +382,24 @@ def canonical_serialize_graph(graph: TaskGraph) -> bytes:
     return canonical_bytes(graph.to_json())
 
 
-# The JSON type each node and edge field must have; ``bool`` is not ``int`` here.
+# The fields of a node and an edge document, each with the JSON type it must
+# have; ``bool`` is not ``int`` here.
 _NODE_FIELD_TYPES = {"node_id": int, "capability_id": str, "agent_id": str, "server_id": str}
 _EDGE_FIELD_TYPES = {"from_node": int, "to_node": int, "slot": str}
 
 
 def _has_field_types(doc: Any, field_types: dict[str, type]) -> bool:
-    return isinstance(doc, dict) and all(
-        type(doc.get(name)) is field_type for name, field_type in field_types.items()
+    return (
+        isinstance(doc, dict)
+        and doc.keys() == field_types.keys()
+        and all(type(doc[name]) is field_type for name, field_type in field_types.items())
     )
 
 
 def parse_graph(document: Any) -> TaskGraph:
     """Inverse of canonical_serialize_graph."""
     data = load_document(document, "graph")
-    problems = []
-    for name in ("task_id", "nodes", "edges", "source_bindings"):
-        if name not in data:
-            problems.append(f"missing field {name!r}")
+    problems = check_fields(data, ("task_id", "nodes", "edges", "source_bindings"), "graph")
     if problems:
         raise SchemaViolation(problems)
     task_id, id_problems = parse_capability_id(data["task_id"], label="task_id")
@@ -407,8 +407,11 @@ def parse_graph(document: Any) -> TaskGraph:
         raise SchemaViolation(id_problems)
     if not all(isinstance(data[k], list) for k in ("nodes", "edges", "source_bindings")):
         raise SchemaViolation(["nodes, edges, and source_bindings must be lists"])
-    if any(type(slot) is not str for slot in data["source_bindings"]):
+    bindings = data["source_bindings"]
+    if any(type(slot) is not str for slot in bindings):
         raise MalformedDocument(["source_bindings must be a list of strings"])
+    if len(set(bindings)) != len(bindings):
+        raise MalformedDocument(["source_bindings must not repeat a slot"])
 
     nodes = []
     for doc in data["nodes"]:
@@ -431,7 +434,7 @@ def parse_graph(document: Any) -> TaskGraph:
         task_id=task_id,
         nodes=tuple(nodes),
         edges=tuple(edges),
-        source_bindings=tuple(data["source_bindings"]),
+        source_bindings=tuple(bindings),
     )
 
 

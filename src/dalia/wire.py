@@ -91,34 +91,13 @@ DISCOVERY_CLASS_METHODS = frozenset(
 # -- codec ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WireRequest:
-    id: int
-    method: str
-    params: dict
+def make_request(request_id: int, method: str, params: dict) -> dict:
+    """A request object; its keys are in the order they go on the wire."""
+    return {"jsonrpc": JSONRPC_VERSION, "id": request_id, "method": method, "params": params}
 
 
-@dataclass(frozen=True)
-class WireResponse:
-    id: int | None
-    result: Any = None
-    error: dict | None = None
-
-    @property
-    def is_error(self) -> bool:
-        return self.error is not None
-
-
-def encode_request(request: WireRequest) -> dict:
-    return {
-        "jsonrpc": JSONRPC_VERSION,
-        "id": request.id,
-        "method": request.method,
-        "params": request.params,
-    }
-
-
-def decode_request(obj: Any) -> WireRequest:
+def decode_request(obj: Any) -> tuple[int, str, dict]:
+    """Check a request object; returns its ``(id, method, params)``."""
     if not isinstance(obj, dict):
         raise ProtocolError("request must be an object")
     if obj.get("jsonrpc") != JSONRPC_VERSION:
@@ -135,19 +114,16 @@ def decode_request(obj: Any) -> WireRequest:
     unknown = set(obj) - {"jsonrpc", "id", "method", "params"}
     if unknown:
         raise ProtocolError(f"unexpected request members: {sorted(unknown)}")
-    return WireRequest(id=request_id, method=method, params=params)
+    return request_id, method, params
 
 
-def encode_response(response: WireResponse) -> dict:
-    encoded: dict[str, Any] = {"jsonrpc": JSONRPC_VERSION, "id": response.id}
-    if response.error is not None:
-        encoded["error"] = response.error
-    else:
-        encoded["result"] = response.result
-    return encoded
+def response_result(obj: Any, request_id: int) -> Any:
+    """The result of the response ``obj`` to request ``request_id``.
 
-
-def decode_response(obj: Any) -> WireResponse:
+    Raises ProtocolError for a malformed response or a result carrying
+    another id, and WireError for a well-formed error response, whatever
+    its id.
+    """
     if not isinstance(obj, dict):
         raise ProtocolError("response must be an object")
     if obj.get("jsonrpc") != JSONRPC_VERSION:
@@ -168,11 +144,15 @@ def decode_response(obj: Any) -> WireResponse:
             or set(error) != {"code", "message"}
         ):
             raise ProtocolError("error member must be {code: int, message: str}")
-        return WireResponse(id=response_id, error=error)
+        raise WireError(error["code"], error["message"])
     unknown = set(obj) - {"jsonrpc", "id", "result"}
     if unknown:
         raise ProtocolError(f"unexpected response members: {sorted(unknown)}")
-    return WireResponse(id=response_id, result=obj["result"])
+    if response_id != request_id:
+        raise ProtocolError(
+            f"response id {response_id!r} does not match request id {request_id}"
+        )
+    return obj["result"]
 
 
 # -- framing --------------------------------------------------------------------
@@ -342,9 +322,8 @@ def parse_server_config(document: Any) -> ServerConfig:
 
 
 def _error_response(request_id: int | None, code: int, message: str) -> dict:
-    return encode_response(
-        WireResponse(id=request_id, error={"code": code, "message": message})
-    )
+    error = {"code": code, "message": message}
+    return {"jsonrpc": JSONRPC_VERSION, "id": request_id, "error": error}
 
 
 class _Dispatcher:
@@ -364,37 +343,27 @@ class _Dispatcher:
     def handle(self, obj: Any) -> dict:
         """Process one decoded request object into a response object."""
         try:
-            request = decode_request(obj)
+            request_id, method, params = decode_request(obj)
         except ProtocolError as exc:
             request_id = obj.get("id") if isinstance(obj, dict) else None
             if type(request_id) is not int:
                 request_id = None
             return _error_response(request_id, INVALID_REQUEST, str(exc))
-        handler = self._methods.get(request.method)
+        handler = self._methods.get(method)
         if handler is None:
-            return _error_response(
-                request.id, METHOD_NOT_FOUND, f"unknown method {request.method!r}"
-            )
+            return _error_response(request_id, METHOD_NOT_FOUND, f"unknown method {method!r}")
         try:
-            result = handler(request.params)
+            result = handler(params)
         except WireError as exc:
-            return _error_response(request.id, exc.code, exc.message)
+            return _error_response(request_id, exc.code, exc.message)
         except DaliaError as exc:
             for error_type, code in self._ERROR_CODES:
                 if isinstance(exc, error_type):
-                    return _error_response(request.id, code, str(exc))
-            return _error_response(request.id, INTERNAL_ERROR, str(exc))
+                    return _error_response(request_id, code, str(exc))
+            return _error_response(request_id, INTERNAL_ERROR, str(exc))
         except Exception as exc:  # defensive: never leak a traceback on the wire
-            return _error_response(request.id, INTERNAL_ERROR, str(exc))
-        return encode_response(WireResponse(id=request.id, result=result))
-
-    def handle_text(self, line: str | bytes) -> dict:
-        """Process one raw frame (stdio transport); bytes must be UTF-8."""
-        try:
-            obj = strict_loads(line)
-        except ValueError as exc:
-            return _error_response(None, PARSE_ERROR, f"parse error: {exc}")
-        return self.handle(obj)
+            return _error_response(request_id, INTERNAL_ERROR, str(exc))
+        return {"jsonrpc": JSONRPC_VERSION, "id": request_id, "result": result}
 
 
 class WireServer(_Dispatcher):
@@ -532,7 +501,12 @@ def serve_stdio(dispatcher: _Dispatcher, stdin=None, stdout=None) -> None:
                 line = stdin.readline(MAX_FRAME_BYTES + 1)
             response = _error_response(None, PARSE_ERROR, f"line exceeds {MAX_FRAME_BYTES} bytes")
         elif line.strip():
-            response = dispatcher.handle_text(line)
+            try:
+                obj = strict_loads(line)
+            except ValueError as exc:
+                response = _error_response(None, PARSE_ERROR, f"parse error: {exc}")
+            else:
+                response = dispatcher.handle(obj)
         else:
             continue
         stdout.write(canonical_bytes(response).decode("utf-8") + "\n")
@@ -663,9 +637,8 @@ class LocalClient:
         with self._lock:
             self._next_id += 1
             request_id = self._next_id
-        request = WireRequest(id=request_id, method=method, params=params or {})
-        response = decode_response(self._dispatcher.handle(encode_request(request)))
-        return _unwrap(response, request_id)
+        response = self._dispatcher.handle(make_request(request_id, method, params or {}))
+        return response_result(response, request_id)
 
     def close(self) -> None:
         """Nothing to release; every client can be closed."""
@@ -695,8 +668,7 @@ class TcpClient:
         with self._lock:
             self._next_id += 1
             request_id = self._next_id
-            request = WireRequest(id=request_id, method=method, params=params or {})
-            frame = frame_block(encode_request(request))
+            frame = frame_block(make_request(request_id, method, params or {}))
             try:
                 obj = None
                 if self._sock is not None:
@@ -704,7 +676,7 @@ class TcpClient:
                 if obj is None:
                     self._connect()
                     obj = self._round_trip(frame, reused=False)
-                return _unwrap(decode_response(obj), request_id)
+                return response_result(obj, request_id)
             except OSError as exc:
                 self._drop()
                 raise EndpointUnreachable(self.endpoint, str(exc)) from exc
@@ -746,17 +718,6 @@ class TcpClient:
                 return None
             raise ProtocolError(f"{self.endpoint}: connection closed without a response")
         return read_block(self._reader)
-
-
-def _unwrap(response: WireResponse, request_id: int) -> Any:
-    if response.is_error:
-        assert response.error is not None
-        raise WireError(response.error["code"], response.error["message"])
-    if response.id != request_id:
-        raise ProtocolError(
-            f"response id {response.id!r} does not match request id {request_id}"
-        )
-    return response.result
 
 
 class CountingClient:

@@ -26,6 +26,9 @@ RESTAURANT_LIST = _FOOD_SERVER["handlers"]["restaurant.search"]["script"][0]["re
 BOOKING_CONFIRMATION = _FOOD_SERVER["handlers"]["restaurant.reserve"]["script"][0][
     "booking_confirmation"
 ]
+# The demo's capability and task documents; tests copy them before changing them.
+SEARCH_DOC, RESERVE_DOC = _FOOD_SERVER["capabilities"]
+(BOOKING_DOC,) = _FOOD_SERVER["tasks"]
 
 # Goal bindings for the demo task's three inputs.
 SCENARIO_INPUTS = {

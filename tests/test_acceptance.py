@@ -58,17 +58,11 @@ from dalia.wire import (
     CountingClient,
     DirectoryService,
     LocalClient,
-    WireRequest,
-    WireResponse,
     WireServer,
-    decode_request,
-    decode_response,
-    encode_request,
-    encode_response,
     parse_server_config,
 )
 
-from test_wire import random_message
+from test_wire import assert_codec_identity, random_message
 
 
 @contextlib.contextmanager
@@ -447,11 +441,7 @@ def test_criterion_8_protocol_conformance():
     with criterion(8, "codec round-trip, unknown-method error, config rejection", 30.0):
         rng = Random(80_808)
         for _ in range(10_000):
-            message = random_message(rng)
-            if isinstance(message, WireRequest):
-                assert decode_request(encode_request(message)) == message
-            else:
-                assert decode_response(encode_response(message)) == message
+            assert_codec_identity(random_message(rng))
 
         client = LocalClient(WireServer(scenario.food_server_config()))
         with pytest.raises(WireError) as excinfo:

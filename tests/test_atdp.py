@@ -8,42 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_feasibility, random_instance
+from scenario import BOOKING_DOC, RESERVE_DOC, SEARCH_DOC
 
-from dalia.atdp import TaskDeclaration, canonical_serialize_task, check_feasibility, parse_task
+from dalia.atdp import TaskDeclaration, check_feasibility, parse_task
+from dalia.canonical import canonical_bytes
 from dalia.capabilities import Capability, CapabilityId, parse_capability
 from dalia.errors import InvariantViolation, ValidationError
 
-BOOKING_DOC = {
-    "task_id": "restaurant.booking",
-    "intent": "book_restaurant",
-    "inputs": ["location", "date", "party_size"],
-    "outputs": ["booking_confirmation"],
-    "capabilities": ["restaurant.search", "restaurant.reserve"],
-}
-
-SEARCH = parse_capability(
-    {
-        "capability_id": "restaurant.search",
-        "role": "information_retrieval",
-        "domain": "food",
-        "inputs": ["location", "date", "party_size"],
-        "outputs": ["restaurant_list"],
-        "preconditions": ["location_known"],
-        "postconditions": ["results_available"],
-    }
-)
-
-RESERVE = parse_capability(
-    {
-        "capability_id": "restaurant.reserve",
-        "role": "transaction",
-        "domain": "food",
-        "inputs": ["restaurant_list", "date", "party_size"],
-        "outputs": ["booking_confirmation"],
-        "preconditions": [],
-        "postconditions": [],
-    }
-)
+SEARCH = parse_capability(SEARCH_DOC)
+RESERVE = parse_capability(RESERVE_DOC)
 
 PROVIDED = {"location", "date", "party_size"}
 
@@ -222,8 +195,8 @@ def test_closure_walks_a_reverse_listed_chain():
 
 def test_task_round_trip_and_double_serialization():
     task = parse_task(BOOKING_DOC)
-    payload = canonical_serialize_task(task)
-    assert payload == canonical_serialize_task(task)
+    payload = canonical_bytes(task.to_json())
+    assert payload == canonical_bytes(task.to_json())
     assert parse_task(payload) == task
     assert list(json.loads(payload)) == ["task_id", "intent", "inputs", "outputs", "capabilities"]
 
@@ -232,7 +205,7 @@ def test_task_field_difference_implies_byte_difference():
     task = parse_task(BOOKING_DOC)
     other = parse_task(dict(BOOKING_DOC, intent="cancel_booking"))
     assert task != other
-    assert canonical_serialize_task(task) != canonical_serialize_task(other)
+    assert canonical_bytes(task.to_json()) != canonical_bytes(other.to_json())
 
 
 def test_round_trip_property_over_random_tasks():
@@ -240,4 +213,4 @@ def test_round_trip_property_over_random_tasks():
     for _ in range(200):
         ctx = random_instance(rng)
         for task in ctx.tasks.values():
-            assert parse_task(canonical_serialize_task(task)) == task
+            assert parse_task(canonical_bytes(task.to_json())) == task

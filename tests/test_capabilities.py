@@ -11,7 +11,6 @@ from dalia.canonical import canonical_bytes
 from dalia.capabilities import (
     Capability,
     CapabilityId,
-    canonical_serialize,
     load_document,
     parse_capability,
     validate_capability,
@@ -22,26 +21,7 @@ from dalia.errors import (
     SchemaViolation,
     ValidationError,
 )
-
-SEARCH_DOC = {
-    "capability_id": "restaurant.search",
-    "role": "information_retrieval",
-    "domain": "food",
-    "inputs": ["location", "date", "party_size"],
-    "outputs": ["restaurant_list"],
-    "preconditions": ["location_known"],
-    "postconditions": ["results_available"],
-}
-
-RESERVE_DOC = {
-    "capability_id": "restaurant.reserve",
-    "role": "transaction",
-    "domain": "food",
-    "inputs": ["restaurant_list", "date", "party_size"],
-    "outputs": ["booking_confirmation"],
-    "preconditions": ["results_available"],
-    "postconditions": ["booking_confirmed"],
-}
+from scenario import RESERVE_DOC, SEARCH_DOC
 
 
 def test_parse_restaurant_search_document():
@@ -168,10 +148,10 @@ def test_capability_id_rejects_bad_shapes(bad):
 
 def test_canonical_serialize_is_deterministic():
     cap = parse_capability(SEARCH_DOC)
-    first = canonical_serialize(cap)
-    assert first == canonical_serialize(cap)
+    first = canonical_bytes(cap.to_json())
+    assert first == canonical_bytes(cap.to_json())
     assert b"\n" not in first
-    assert first == canonical_serialize(parse_capability(SEARCH_DOC))
+    assert first == canonical_bytes(parse_capability(SEARCH_DOC).to_json())
 
 
 def test_canonical_serialize_distinguishes_different_capabilities():
@@ -179,11 +159,11 @@ def test_canonical_serialize_distinguishes_different_capabilities():
     reserve = parse_capability(RESERVE_DOC)
     # field-wise inequality must imply byte inequality
     assert search != reserve
-    assert canonical_serialize(search) != canonical_serialize(reserve)
+    assert canonical_bytes(search.to_json()) != canonical_bytes(reserve.to_json())
 
 
 def test_canonical_field_order_is_fixed():
-    keys = list(json.loads(canonical_serialize(parse_capability(SEARCH_DOC))))
+    keys = list(json.loads(canonical_bytes(parse_capability(SEARCH_DOC).to_json())))
     assert keys == [
         "capability_id",
         "role",
@@ -218,7 +198,7 @@ def test_round_trip_property_over_random_capabilities():
     for _ in range(300):
         cap = _random_valid_capability(rng)
         assert validate_capability(cap).ok
-        payload = canonical_serialize(cap)
+        payload = canonical_bytes(cap.to_json())
         assert b"\n" not in payload  # single line even with newlines in tags
         assert parse_capability(payload) == cap
 

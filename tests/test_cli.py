@@ -370,6 +370,17 @@ def test_checked_in_demo_configs_work():
     assert len(json.loads(output)["nodes"]) == 2
 
 
+def test_plan_refuses_a_config_with_an_unexpected_field(tmp_path, capsys):
+    config = write_scenario_configs(tmp_path)
+    config.write_text(json.dumps(dict(json.loads(config.read_text()), output_format="dot")))
+    code, output = run_cli(
+        ["plan", "--config", str(config), "--intent", "book_restaurant",
+         "--inputs", *SCENARIO_INPUT_ARGS]
+    )
+    assert (code, output) == (1, "")
+    assert capsys.readouterr().err == "usage error: unexpected config fields: ['output_format']\n"
+
+
 _DEEP = b"[" * 200_000
 
 

@@ -26,6 +26,7 @@ from dalia.errors import (
     NoSuchTask,
     PlanningError,
     PreconditionUnschedulable,
+    SchemaViolation,
     UnproducibleSlot,
 )
 from dalia.executor import execute
@@ -355,6 +356,9 @@ _WRONG_TYPES = {
     "edge-not-object": lambda doc: doc["edges"].append([0, 1, "slot"]),
     "source_bindings-object": lambda doc: doc.update(source_bindings=[{"location": 1}]),
     "source_bindings-int": lambda doc: doc.update(source_bindings=["date", 4]),
+    "node-unexpected-field": _set("nodes", "extra", 1),
+    "edge-unexpected-field": _set("edges", "zz", 2),
+    "source_bindings-repeated": lambda doc: doc.update(source_bindings=["p", "p"]),
 }
 
 
@@ -363,6 +367,20 @@ def test_parse_graph_refuses_fields_of_the_wrong_type(scenario_ctx, scenario_goa
     doc = json.loads(canonical_serialize_graph(plan(scenario_goal, scenario_ctx)))
     mutate(doc)
     with pytest.raises(MalformedDocument):
+        parse_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda doc: doc.update(bogus=2), lambda doc: doc.pop("edges")],
+    ids=["unexpected", "missing"],
+)
+def test_parse_graph_refuses_a_root_without_exactly_the_graph_fields(
+    scenario_ctx, scenario_goal, mutate
+):
+    doc = json.loads(canonical_serialize_graph(plan(scenario_goal, scenario_ctx)))
+    mutate(doc)
+    with pytest.raises(SchemaViolation):
         parse_graph(json.dumps(doc))
 
 

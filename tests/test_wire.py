@@ -35,17 +35,14 @@ from dalia.wire import (
     ServerConfig,
     TcpClient,
     TcpServerHandle,
-    WireRequest,
-    WireResponse,
     WireServer,
     connect_server,
     decode_request,
-    decode_response,
-    encode_request,
-    encode_response,
     frame_block,
+    make_request,
     parse_server_config,
     read_block,
+    response_result,
     serve_stdio,
 )
 
@@ -83,55 +80,68 @@ def _random_value(rng: Random, depth: int = 0):
     }
 
 
-def random_message(rng: Random):
+def random_message(rng: Random) -> dict:
     if rng.random() < 0.5:
-        return WireRequest(
-            id=rng.randint(0, 10**6),
-            method=rng.choice(["dalia/invoke", "atdp/list_tasks", "x/y", "ping"]),
-            params={f"p{i}": _random_value(rng) for i in range(rng.randint(0, 3))},
+        return make_request(
+            rng.randint(0, 10**6),
+            rng.choice(["dalia/invoke", "atdp/list_tasks", "x/y", "ping"]),
+            {f"p{i}": _random_value(rng) for i in range(rng.randint(0, 3))},
         )
     if rng.random() < 0.5:
-        return WireResponse(id=rng.randint(0, 10**6), result=_random_value(rng))
-    return WireResponse(
-        id=rng.choice([None, rng.randint(0, 10**6)]),
-        error={"code": rng.randint(-32099, -32000), "message": "boom"},
-    )
+        return {"jsonrpc": "2.0", "id": rng.randint(0, 10**6), "result": _random_value(rng)}
+    return {
+        "jsonrpc": "2.0",
+        "id": rng.choice([None, rng.randint(0, 10**6)]),
+        "error": {"code": rng.randint(-32099, -32000), "message": "boom"},
+    }
+
+
+def assert_codec_identity(message: dict) -> None:
+    """A request rebuilds from what decode_request returns, and a response
+    from its result or from the WireError it raises, to the same bytes."""
+    if "method" in message:
+        rebuilt = make_request(*decode_request(message))
+    else:
+        rebuilt = {"jsonrpc": "2.0", "id": message["id"]}
+        try:
+            rebuilt["result"] = response_result(message, message["id"])
+        except WireError as exc:
+            rebuilt["error"] = {"code": exc.code, "message": exc.message}
+    assert canonical_bytes(rebuilt) == canonical_bytes(message)
+
+
+def assert_well_formed_response(response) -> None:
+    """``response`` is one a client accepts: a result, or an error it raises
+    as WireError."""
+    try:
+        response_result(response, response["id"])
+    except WireError:
+        pass
 
 
 def test_codec_identity_random_messages():
     rng = Random(2026)
     for _ in range(2000):
-        message = random_message(rng)
-        if isinstance(message, WireRequest):
-            assert decode_request(encode_request(message)) == message
-        else:
-            assert decode_response(encode_response(message)) == message
+        assert_codec_identity(random_message(rng))
 
 
 def test_codec_rejects_malformed_messages():
-    from dalia.errors import ProtocolError
-
     with pytest.raises(ProtocolError):
         decode_request({"jsonrpc": "2.0", "id": "one", "method": "m", "params": {}})
     with pytest.raises(ProtocolError):
         decode_request({"jsonrpc": "1.0", "id": 1, "method": "m", "params": {}})
     with pytest.raises(ProtocolError):
-        decode_response({"jsonrpc": "2.0", "id": 1})
+        response_result({"jsonrpc": "2.0", "id": 1}, 1)
     with pytest.raises(ProtocolError):
-        decode_response({"jsonrpc": "2.0", "id": 1, "result": 1, "error": {"code": 1, "message": ""}})
+        response_result({"jsonrpc": "2.0", "id": 1, "result": 1, "error": {"code": 1, "message": ""}}, 1)
     with pytest.raises(ProtocolError):
-        decode_response({"jsonrpc": "2.0", "id": 1, "error": {"code": "x", "message": ""}})
+        response_result({"jsonrpc": "2.0", "id": 1, "error": {"code": "x", "message": ""}}, 1)
 
 
 def test_frame_block_round_trip():
     rng = Random(3)
     for _ in range(200):
-        message = random_message(rng)
-        obj = (
-            encode_request(message)
-            if isinstance(message, WireRequest)
-            else encode_response(message)
-        )
+        obj = random_message(rng)
         reader = io.BytesIO(frame_block(obj))
         assert read_block(reader) == obj
     assert read_block(io.BytesIO(b"")) is None
@@ -186,7 +196,9 @@ def test_decoders_reject_non_finite_numbers(constant):
     body = f'{{"jsonrpc":"2.0","id":1,"method":"dalia/server_info","params":{{"x":{constant}}}}}'
     with pytest.raises(ProtocolError):
         read_block(io.BytesIO(str(len(body)).encode() + b"\r\n\r\n" + body.encode()))
-    response = _food_server().handle_text(body)
+    stdout = io.StringIO()
+    serve_stdio(_food_server(), stdin=io.StringIO(body + "\n"), stdout=stdout)
+    response = json.loads(stdout.getvalue())
     assert response["id"] is None
     assert response["error"]["code"] == PARSE_ERROR
 
@@ -195,7 +207,7 @@ def test_deep_nesting_is_a_parse_error_on_both_transports():
     deep = "[" * 100_000
     with pytest.raises(ProtocolError):
         read_block(io.BytesIO(b"100000\r\n\r\n" + deep.encode()))
-    request = canonical_bytes(encode_request(WireRequest(id=5, method="dalia/server_info", params={})))
+    request = canonical_bytes(make_request(5, "dalia/server_info", {}))
     stdout = io.StringIO()
     serve_stdio(_food_server(), stdin=io.BytesIO(deep.encode() + b"\n" + request + b"\n"), stdout=stdout)
     first, second = (json.loads(line) for line in stdout.getvalue().split("\n") if line)
@@ -216,10 +228,9 @@ def test_list_capabilities_in_configuration_order():
 
 def test_list_capabilities_response_round_trips_bit_exactly():
     server = _food_server()
-    request = encode_request(WireRequest(id=7, method="dalia/list_capabilities", params={}))
-    raw = canonical_bytes(server.handle(request))
-    decoded = decode_response(json.loads(raw))
-    assert canonical_bytes(encode_response(decoded)) == raw
+    raw = canonical_bytes(server.handle(make_request(7, "dalia/list_capabilities", {})))
+    result = response_result(json.loads(raw), 7)
+    assert canonical_bytes({"jsonrpc": "2.0", "id": 7, "result": result}) == raw
 
 
 def test_empty_server_lists_nothing():
@@ -453,7 +464,7 @@ def test_directory_error_codes():
 
 def test_stdio_serve_answers_and_survives_junk():
     server = _food_server()
-    request = encode_request(WireRequest(id=1, method="dalia/list_capabilities", params={}))
+    request = make_request(1, "dalia/list_capabilities", {})
     stdin = io.StringIO(json.dumps(request) + "\n\n{broken json\n")
     stdout = io.StringIO()
     serve_stdio(server, stdin=stdin, stdout=stdout)
@@ -536,7 +547,7 @@ def test_tcp_client_shared_by_threads_keeps_calls_apart(monkeypatch):
     def worker(index):
         try:
             for _ in range(40):
-                # a crossed response would fail _unwrap's id check or this one
+                # a crossed response would fail response_result's id check or this one
                 if index % 2:
                     assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
                 else:
@@ -727,7 +738,7 @@ def test_tcp_server_answers_or_closes_on_random_bytes_then_serves_a_fresh_client
     @given(data=_TCP_JUNK)
     def check(data):
         for frame in _send_raw(handle.address, data):
-            decode_response(frame)
+            assert_well_formed_response(frame)
         client = TcpClient(handle.address)
         try:
             assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
@@ -743,18 +754,20 @@ def test_tcp_server_answers_or_closes_on_random_bytes_then_serves_a_fresh_client
 @settings(max_examples=150, deadline=None)
 @given(data=st.lists(st.binary(max_size=80) | _BODIES, max_size=4).map(b"\n".join))
 def test_stdio_server_answers_every_line_of_random_bytes_then_the_next_request(data):
-    request = canonical_bytes(encode_request(WireRequest(id=9, method="dalia/server_info", params={})))
+    request = canonical_bytes(make_request(9, "dalia/server_info", {}))
     stdout = io.StringIO()
     serve_stdio(_food_server(), stdin=io.BytesIO(data + b"\n" + request + b"\n"), stdout=stdout)
-    responses = [decode_response(json.loads(line)) for line in stdout.getvalue().split("\n") if line]
+    responses = [json.loads(line) for line in stdout.getvalue().split("\n") if line]
+    for response in responses:
+        assert_well_formed_response(response)
     assert len(responses) == sum(1 for line in data.split(b"\n") if line.strip()) + 1
-    assert responses[-1] == WireResponse(id=9, result={"server_id": "mcp_food_server"})
+    assert responses[-1] == {"jsonrpc": "2.0", "id": 9, "result": {"server_id": "mcp_food_server"}}
 
 
 def test_stdio_line_longer_than_the_limit_gets_a_parse_error_and_the_next_line_is_served(
     monkeypatch,
 ):
-    request = canonical_bytes(encode_request(WireRequest(id=3, method="dalia/server_info", params={})))
+    request = canonical_bytes(make_request(3, "dalia/server_info", {}))
     monkeypatch.setattr(wire, "MAX_FRAME_BYTES", len(request))
     stdin = io.BytesIO(request + b"\n" + request + b" \n" + b"x" * 100 + b"\n" + request)
     stdout = io.StringIO()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import shlex
 import socket
 import subprocess
 import sys
@@ -430,3 +431,52 @@ def test_unreadable_documents_exit_with_their_documented_code(
     assert output == ""
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert (tmp_path / target).read_bytes() == content
+
+
+# -- the CLI transcript --------------------------------------------------------------
+
+_CLI_TRANSCRIPT = Path(__file__).with_name("cli_transcript.txt")
+
+
+def _cli_transcript() -> dict[str, list[str]]:
+    """The lines of each ``[section]`` of cli_transcript.txt."""
+    sections: dict[str, list[str]] = {}
+    for line in _CLI_TRANSCRIPT.read_text(encoding="utf-8").splitlines():
+        if line.startswith("["):
+            lines = sections[line[1:-1]] = []
+        elif not line.startswith("#"):
+            lines.append(line)
+    return sections
+
+
+def _replay_cli(lines: list[str], directory: Path, capsys) -> list[str]:
+    """Write the section's files into ``directory``, run its command from the
+    repository root, and render what it did in the transcript's lines."""
+    rendered = []
+    for line in lines:
+        tag, _, rest = line.partition(" ")
+        if tag == "+":
+            name, _, text = rest.partition(" ")
+            (directory / name).write_text(text, encoding="utf-8")
+            rendered.append(line)
+        elif tag == "$":
+            argv = shlex.split(rest.replace("{dir}", str(directory)))
+            assert argv[0] == "dalia"
+            capsys.readouterr()
+            out = io.StringIO()
+            code = main(argv[1:], out=out)
+            err = capsys.readouterr().err
+            for stream in (out.getvalue(), err):
+                assert stream.endswith("\n") or not stream
+            rendered.append(line)
+            rendered += [f"1 {text}" if text else "1" for text in out.getvalue().splitlines()]
+            rendered += [f"2 {text}" if text else "2" for text in err.splitlines()]
+            rendered.append(f"? {code}")
+    return rendered
+
+
+@pytest.mark.parametrize("section", list(_cli_transcript()))
+def test_cli_transcript(section, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    expected = _cli_transcript()[section]
+    assert _replay_cli(expected, tmp_path, capsys) == expected

@@ -40,14 +40,12 @@ from .directory import DirectorySnapshot, parse_agent_record, snapshot_to_json
 from .errors import (
     BindFailure,
     ConfigInvalid,
-    DaliaError,
     EndpointUnreachable,
     InvalidCapabilityId,
     InvalidRecord,
     InvalidServerId,
     MalformedDocument,
     ProtocolError,
-    UnknownAgent,
     ValidationError,
     WireError,
 )
@@ -66,10 +64,8 @@ UNKNOWN_CAPABILITY = -32001
 MISSING_INPUT = -32002
 HANDLER_FAULT = -32003
 DIR_INVALID_RECORD = -32010
-DIR_UNKNOWN_AGENT = -32011
 DIR_INVALID_CAPABILITY_ID = -32012
 DIR_INVALID_SERVER_ID = -32013
-DIR_MALFORMED = -32014
 
 # Methods that constitute discovery; planning and execution must never call
 # them (the closed-world contract).
@@ -334,10 +330,8 @@ class _Dispatcher:
 
     _ERROR_CODES = (
         (InvalidRecord, DIR_INVALID_RECORD),
-        (UnknownAgent, DIR_UNKNOWN_AGENT),
         (InvalidCapabilityId, DIR_INVALID_CAPABILITY_ID),
         (InvalidServerId, DIR_INVALID_SERVER_ID),
-        (MalformedDocument, DIR_MALFORMED),
     )
 
     def handle(self, obj: Any) -> dict:
@@ -356,12 +350,10 @@ class _Dispatcher:
             result = handler(params)
         except WireError as exc:
             return _error_response(request_id, exc.code, exc.message)
-        except DaliaError as exc:
+        except Exception as exc:  # defensive: never leak a traceback on the wire
             for error_type, code in self._ERROR_CODES:
                 if isinstance(exc, error_type):
                     return _error_response(request_id, code, str(exc))
-            return _error_response(request_id, INTERNAL_ERROR, str(exc))
-        except Exception as exc:  # defensive: never leak a traceback on the wire
             return _error_response(request_id, INTERNAL_ERROR, str(exc))
         return {"jsonrpc": JSONRPC_VERSION, "id": request_id, "result": result}
 
@@ -488,16 +480,16 @@ class DirectoryService(_Dispatcher):
 def serve_stdio(dispatcher: _Dispatcher, stdin=None, stdout=None) -> None:
     """Answer newline-delimited requests until EOF. stdout carries protocol only.
 
-    ``stdin`` reads lines as text or as bytes; the process's standard input
-    is read as bytes, so a line that is not UTF-8 gets a parse error. A line
-    longer than MAX_FRAME_BYTES gets a parse error; the rest of it is read
-    in bounded pieces and discarded.
+    ``stdin`` and ``stdout`` are binary streams, by default the process's
+    own: a line that is not UTF-8 gets a parse error, and responses go out
+    as UTF-8 whatever the locale. A line longer than MAX_FRAME_BYTES gets a
+    parse error; the rest of it is read in bounded pieces and discarded.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
-    stdout = stdout if stdout is not None else sys.stdout
+    stdout = stdout if stdout is not None else sys.stdout.buffer
     while line := stdin.readline(MAX_FRAME_BYTES + 1):
-        if len(line) > MAX_FRAME_BYTES and not _ends_line(line):
-            while line and not _ends_line(line):
+        if len(line) > MAX_FRAME_BYTES and not line.endswith(b"\n"):
+            while line and not line.endswith(b"\n"):
                 line = stdin.readline(MAX_FRAME_BYTES + 1)
             response = _error_response(None, PARSE_ERROR, f"line exceeds {MAX_FRAME_BYTES} bytes")
         elif line.strip():
@@ -509,12 +501,8 @@ def serve_stdio(dispatcher: _Dispatcher, stdin=None, stdout=None) -> None:
                 response = dispatcher.handle(obj)
         else:
             continue
-        stdout.write(canonical_bytes(response).decode("utf-8") + "\n")
+        stdout.write(canonical_bytes(response) + b"\n")
         stdout.flush()
-
-
-def _ends_line(line: str | bytes) -> bool:
-    return line.endswith(b"\n" if isinstance(line, bytes) else "\n")
 
 
 class _TcpHandler(socketserver.StreamRequestHandler):
@@ -649,11 +637,12 @@ class TcpClient:
 
     The connection opens on the first call and carries every later one;
     calls are serialized by a lock held for the whole round trip. A call
-    that fails on a reused connection, on send or by EOF or reset before the
+    whose reused connection fails on send, or ends or resets before the
     first response byte (the server closed it while idle), is sent once
-    more on a fresh connection. A call on a fresh connection is never
-    retried. Any error drops the connection, and the next call opens a new
-    one. ``close()`` releases it.
+    more on a fresh connection, which is never retried. An error response
+    leaves the connection open, as its frame was read whole; a failed send
+    or read, or a frame or response that fails its checks, drops it, and
+    the next call opens a new one. ``close()`` releases it.
     """
 
     def __init__(self, address: str):
@@ -670,13 +659,9 @@ class TcpClient:
             request_id = self._next_id
             frame = frame_block(make_request(request_id, method, params or {}))
             try:
-                obj = None
-                if self._sock is not None:
-                    obj = self._round_trip(frame, reused=True)
-                if obj is None:
-                    self._connect()
-                    obj = self._round_trip(frame, reused=False)
-                return response_result(obj, request_id)
+                return response_result(self._round_trip(frame), request_id)
+            except WireError:
+                raise
             except OSError as exc:
                 self._drop()
                 raise EndpointUnreachable(self.endpoint, str(exc)) from exc
@@ -700,24 +685,23 @@ class TcpClient:
             self._sock.close()
             self._sock = self._reader = None
 
-    def _round_trip(self, frame: bytes, reused: bool) -> dict | None:
-        """Send ``frame`` and read the response frame.
-
-        Returns None only on a reused connection that failed before the
-        first response byte; on a fresh one the same failure raises.
-        """
-        try:
-            self._sock.sendall(frame)
-            started = self._reader.peek(1)
-        except ConnectionError:
-            if reused:
-                return None
-            raise
-        if not started:
-            if reused:
-                return None
+    def _round_trip(self, frame: bytes) -> dict:
+        """Send ``frame`` and read the response frame; on a fresh connection
+        if the open one ends before the first response byte."""
+        if self._sock is not None:
+            try:
+                self._sock.sendall(frame)
+                started = self._reader.peek(1)
+            except ConnectionError:
+                started = b""  # the server closed the connection while idle
+            if started:
+                return read_block(self._reader)
+        self._connect()
+        self._sock.sendall(frame)
+        obj = read_block(self._reader)
+        if obj is None:
             raise ProtocolError(f"{self.endpoint}: connection closed without a response")
-        return read_block(self._reader)
+        return obj
 
 
 class CountingClient:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import shlex
 import socket
 import subprocess
@@ -236,6 +237,28 @@ def test_server_serve_stdio_subprocess(tmp_path):
         "restaurant.search",
         "restaurant.reserve",
     ]
+
+
+def test_stdio_server_answers_in_utf8_under_an_ascii_locale():
+    requests = canonical_bytes(
+        {"jsonrpc": "2.0", "id": 1, "method": "dalia/invoke", "params": {"capability_id": "café.x"}}
+    ) + b"\n" + canonical_bytes({"jsonrpc": "2.0", "id": 2, "method": "dalia/server_info"}) + b"\n"
+    answers = {}
+    for encoding in ("utf-8", "ascii"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dalia.cli", "server", "serve", "--config", "configs/food_server.json"],
+            input=requests,
+            capture_output=True,
+            timeout=30,
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONIOENCODING": encoding},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        answers[encoding] = proc.stdout
+    assert answers["ascii"] == answers["utf-8"] == (
+        '{"jsonrpc":"2.0","id":1,"error":{"code":-32001,"message":"unknown capability: \'café.x\'"}}\n'
+        '{"jsonrpc":"2.0","id":2,"result":{"server_id":"mcp_food_server"}}\n'
+    ).encode()
 
 
 def test_directory_serve_snapshot_round_trip(tmp_path):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import socket
+import socketserver
 import sys
 import threading
 import time
@@ -196,8 +198,8 @@ def test_decoders_reject_non_finite_numbers(constant):
     body = f'{{"jsonrpc":"2.0","id":1,"method":"dalia/server_info","params":{{"x":{constant}}}}}'
     with pytest.raises(ProtocolError):
         read_block(io.BytesIO(str(len(body)).encode() + b"\r\n\r\n" + body.encode()))
-    stdout = io.StringIO()
-    serve_stdio(_food_server(), stdin=io.StringIO(body + "\n"), stdout=stdout)
+    stdout = io.BytesIO()
+    serve_stdio(_food_server(), stdin=io.BytesIO(body.encode() + b"\n"), stdout=stdout)
     response = json.loads(stdout.getvalue())
     assert response["id"] is None
     assert response["error"]["code"] == PARSE_ERROR
@@ -208,9 +210,9 @@ def test_deep_nesting_is_a_parse_error_on_both_transports():
     with pytest.raises(ProtocolError):
         read_block(io.BytesIO(b"100000\r\n\r\n" + deep.encode()))
     request = canonical_bytes(make_request(5, "dalia/server_info", {}))
-    stdout = io.StringIO()
+    stdout = io.BytesIO()
     serve_stdio(_food_server(), stdin=io.BytesIO(deep.encode() + b"\n" + request + b"\n"), stdout=stdout)
-    first, second = (json.loads(line) for line in stdout.getvalue().split("\n") if line)
+    first, second = (json.loads(line) for line in stdout.getvalue().split(b"\n") if line)
     assert first["id"] is None and first["error"]["code"] == PARSE_ERROR
     assert second == {"jsonrpc": "2.0", "id": 5, "result": {"server_id": "mcp_food_server"}}
 
@@ -465,8 +467,8 @@ def test_directory_error_codes():
 def test_stdio_serve_answers_and_survives_junk():
     server = _food_server()
     request = make_request(1, "dalia/list_capabilities", {})
-    stdin = io.StringIO(json.dumps(request) + "\n\n{broken json\n")
-    stdout = io.StringIO()
+    stdin = io.BytesIO(json.dumps(request).encode() + b"\n\n{broken json\n")
+    stdout = io.BytesIO()
     serve_stdio(server, stdin=stdin, stdout=stdout)
     lines = [line for line in stdout.getvalue().splitlines() if line]
     assert len(lines) == 2
@@ -619,6 +621,77 @@ def test_tcp_client_never_retries_a_fresh_connection(monkeypatch):
         assert len(opened) == 1
 
 
+def test_tcp_client_keeps_its_connection_across_error_responses(monkeypatch):
+    handle = TcpServerHandle(_food_server(), "127.0.0.1:0")
+    client = TcpClient(handle.address)
+    opened = _count_connects(monkeypatch)
+    unknown = {"capability_id": "cafe.x", "inputs": {}}
+    try:
+        for _ in range(3):
+            assert client.call("dalia/invoke", SEARCH_PARAMS)
+            with pytest.raises(WireError) as excinfo:
+                client.call("dalia/invoke", unknown)
+            assert excinfo.value.code == UNKNOWN_CAPABILITY
+        assert len(opened) == 1
+    finally:
+        client.close()
+        handle.shutdown()
+
+
+@contextlib.contextmanager
+def _scripted_tcp_server(replies: list):
+    """A TCP server that answers request frames with ``replies`` in turn
+    (None: no answer, the connection stays open), then with ``{}`` results;
+    yields its address."""
+    replies = list(replies)
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            with contextlib.suppress(OSError):
+                while (request := read_block(self.rfile)) is not None:
+                    reply = replies.pop(0) if replies else frame_block(
+                        {"jsonrpc": "2.0", "id": request["id"], "result": {}}
+                    )
+                    if reply is not None:
+                        self.wfile.write(reply)
+
+    server = wire._ThreadingTcpServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+    thread.start()
+    try:
+        yield "%s:%d" % server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.close_connections()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (frame_block({"jsonrpc": "2.0", "id": 1, "result": {}, "extra": 1}), ProtocolError),
+        (b"x\r\n\r\n{}", ProtocolError),
+        (None, EndpointUnreachable),
+    ],
+    ids=["response-refused", "frame-refused", "read-timeout"],
+)
+def test_tcp_client_drops_its_connection_after_a_failed_exchange(monkeypatch, reply, error):
+    monkeypatch.setattr(wire, "CLIENT_TIMEOUT_SECONDS", 0.5)
+    with _scripted_tcp_server([reply]) as address:
+        client = TcpClient(address)
+        opened = _count_connects(monkeypatch)
+        try:
+            with pytest.raises(error):
+                client.call("dalia/server_info")
+            # the first connection would still answer; the client opens another
+            assert client.call("dalia/server_info") == {}
+            assert client.call("dalia/server_info") == {}
+        finally:
+            client.close()
+    assert len(opened) == 2
+
+
 def test_tcp_shutdown_closes_live_connections():
     handle = TcpServerHandle(_food_server(), "127.0.0.1:0")
     client = TcpClient(handle.address)
@@ -755,9 +828,9 @@ def test_tcp_server_answers_or_closes_on_random_bytes_then_serves_a_fresh_client
 @given(data=st.lists(st.binary(max_size=80) | _BODIES, max_size=4).map(b"\n".join))
 def test_stdio_server_answers_every_line_of_random_bytes_then_the_next_request(data):
     request = canonical_bytes(make_request(9, "dalia/server_info", {}))
-    stdout = io.StringIO()
+    stdout = io.BytesIO()
     serve_stdio(_food_server(), stdin=io.BytesIO(data + b"\n" + request + b"\n"), stdout=stdout)
-    responses = [json.loads(line) for line in stdout.getvalue().split("\n") if line]
+    responses = [json.loads(line) for line in stdout.getvalue().split(b"\n") if line]
     for response in responses:
         assert_well_formed_response(response)
     assert len(responses) == sum(1 for line in data.split(b"\n") if line.strip()) + 1
@@ -770,7 +843,7 @@ def test_stdio_line_longer_than_the_limit_gets_a_parse_error_and_the_next_line_i
     request = canonical_bytes(make_request(3, "dalia/server_info", {}))
     monkeypatch.setattr(wire, "MAX_FRAME_BYTES", len(request))
     stdin = io.BytesIO(request + b"\n" + request + b" \n" + b"x" * 100 + b"\n" + request)
-    stdout = io.StringIO()
+    stdout = io.BytesIO()
     serve_stdio(_food_server(), stdin=stdin, stdout=stdout)
     served = {"jsonrpc": "2.0", "id": 3, "result": {"server_id": "mcp_food_server"}}
     responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
@@ -828,13 +901,13 @@ _TRANSCRIPT_DISPATCHERS = {
 def test_wire_transcript_bytes_over_stdio(section):
     requests, responses = _transcript(section)
     assert len(requests) == len(responses["stdio"]) > 10
-    stdout = io.StringIO()
+    stdout = io.BytesIO()
     serve_stdio(
         _TRANSCRIPT_DISPATCHERS[section](),
         stdin=io.BytesIO(b"".join(request + b"\n" for request in requests)),
         stdout=stdout,
     )
-    assert stdout.getvalue().encode() == b"".join(line + b"\n" for line in responses["stdio"])
+    assert stdout.getvalue() == b"".join(line + b"\n" for line in responses["stdio"])
 
 
 @pytest.mark.parametrize("section", list(_TRANSCRIPT_DISPATCHERS))

@@ -55,7 +55,8 @@ def discover(
 
     Endpoints may be strings (``tcp:host:port`` / ``local:<file>``) or
     already-connected client objects. Deterministic given identical server
-    responses.
+    responses. If it fails, the clients it connected are closed, and the
+    client objects it was handed stay open.
     """
     provided = frozenset(provided_inputs)
     endpoints = list(server_endpoints)
@@ -68,61 +69,67 @@ def discover(
     task_providers: dict[CapabilityId, str] = {}
     server_routes: dict[str, Any] = {}
 
-    for endpoint, client in zip(endpoints, server_clients):
+    try:  # on failure, close the server connections opened here
+        for endpoint, client in zip(endpoints, server_clients):
+            try:
+                info = client.call("dalia/server_info")
+                capability_docs = client.call("dalia/list_capabilities")
+                task_docs = client.call("atdp/list_tasks")
+            except WireError as exc:
+                raise ProtocolError(f"{_endpoint_name(client)}: {exc}") from exc
+
+            if not isinstance(info, dict) or not isinstance(info.get("server_id"), str):
+                raise ProtocolError(f"{_endpoint_name(client)}: bad server_info response")
+            server_id = info["server_id"]
+            if server_id in server_routes:
+                raise ProtocolError(f"two endpoints report the same server id {server_id!r}")
+            server_routes[server_id] = client
+
+            if not isinstance(capability_docs, list) or not isinstance(task_docs, list):
+                raise ProtocolError(f"{server_id}: list responses must be arrays")
+
+            for doc in capability_docs:
+                try:
+                    cap = parse_capability(doc)
+                except ValidationError as exc:
+                    raise ProtocolError(f"{server_id}: bad capability document: {exc}") from exc
+                if cap.capability_id in capabilities:
+                    raise DuplicateCapabilityId(
+                        cap.capability_id.render(),
+                        capabilities[cap.capability_id][1],
+                        server_id,
+                    )
+                capabilities[cap.capability_id] = (cap, server_id)
+
+            for doc in task_docs:
+                try:
+                    task = parse_task(doc)
+                except ValidationError as exc:
+                    raise ProtocolError(f"{server_id}: bad task document: {exc}") from exc
+                if task.task_id in tasks:
+                    raise ProtocolError(
+                        f"task {task.task_id} declared by two servers: "
+                        f"{task_providers[task.task_id]} and {server_id}"
+                    )
+                tasks[task.task_id] = task
+                task_providers[task.task_id] = server_id
+
         try:
-            info = client.call("dalia/server_info")
-            capability_docs = client.call("dalia/list_capabilities")
-            task_docs = client.call("atdp/list_tasks")
+            snapshot_doc = directory_client.call("directory/snapshot")
         except WireError as exc:
-            raise ProtocolError(f"{_endpoint_name(client)}: {exc}") from exc
-
-        if not isinstance(info, dict) or not isinstance(info.get("server_id"), str):
-            raise ProtocolError(f"{_endpoint_name(client)}: bad server_info response")
-        server_id = info["server_id"]
-        if server_id in server_routes:
-            raise ProtocolError(f"two endpoints report the same server id {server_id!r}")
-        server_routes[server_id] = client
-
-        if not isinstance(capability_docs, list) or not isinstance(task_docs, list):
-            raise ProtocolError(f"{server_id}: list responses must be arrays")
-
-        for doc in capability_docs:
-            try:
-                cap = parse_capability(doc)
-            except ValidationError as exc:
-                raise ProtocolError(f"{server_id}: bad capability document: {exc}") from exc
-            if cap.capability_id in capabilities:
-                raise DuplicateCapabilityId(
-                    cap.capability_id.render(),
-                    capabilities[cap.capability_id][1],
-                    server_id,
-                )
-            capabilities[cap.capability_id] = (cap, server_id)
-
-        for doc in task_docs:
-            try:
-                task = parse_task(doc)
-            except ValidationError as exc:
-                raise ProtocolError(f"{server_id}: bad task document: {exc}") from exc
-            if task.task_id in tasks:
-                raise ProtocolError(
-                    f"task {task.task_id} declared by two servers: "
-                    f"{task_providers[task.task_id]} and {server_id}"
-                )
-            tasks[task.task_id] = task
-            task_providers[task.task_id] = server_id
-
-    try:
-        snapshot_doc = directory_client.call("directory/snapshot")
-    except WireError as exc:
-        raise ProtocolError(f"directory: {exc}") from exc
-    finally:
-        if directory_client is not directory_endpoint:  # connected here, needed no more
-            directory_client.close()
-    try:
-        snapshot = load_snapshot(snapshot_doc)
-    except ValidationError as exc:
-        raise ProtocolError(f"directory returned a bad snapshot: {exc}") from exc
+            raise ProtocolError(f"directory: {exc}") from exc
+        finally:
+            if directory_client is not directory_endpoint:  # connected here, needed no more
+                directory_client.close()
+        try:
+            snapshot = load_snapshot(snapshot_doc)
+        except ValidationError as exc:
+            raise ProtocolError(f"directory returned a bad snapshot: {exc}") from exc
+    except BaseException:
+        for endpoint, client in zip(endpoints, server_clients):
+            if client is not endpoint:
+                client.close()
+        raise
 
     return ExecutionContext(
         capabilities=capabilities,

@@ -10,11 +10,13 @@ from dalia.atdp import TaskDeclaration
 from dalia.canonical import canonical_bytes
 from dalia.capabilities import Capability, CapabilityId
 from dalia.discovery import build_invoker, context_fingerprint, discover, feasibility
+from dalia.directory import snapshot_to_json
 from dalia.errors import (
     DuplicateCapabilityId,
     EndpointUnreachable,
     NoSuchTask,
     ProtocolError,
+    WireError,
 )
 from dalia.executor import execute
 from dalia.planner import Goal, plan, resolve_goal
@@ -23,8 +25,10 @@ from dalia.wire import (
     DirectoryService,
     LocalClient,
     ServerConfig,
+    TcpClient,
     TcpServerHandle,
     WireServer,
+    connect_server,
     parse_tcp_address,
 )
 
@@ -246,3 +250,86 @@ def test_goal_over_tcp_opens_each_endpoint_once(monkeypatch, scenario_goal):
                 client.close()
         food.shutdown()
         directory.shutdown()
+
+
+def test_failed_discovery_closes_the_clients_it_connected(monkeypatch):
+    food = TcpServerHandle(WireServer(scenario.food_server_config()), "127.0.0.1:0")
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        dead = "tcp:%s:%d" % listener.getsockname()[:2]  # nothing listens once closed
+    connected = []
+
+    def recording(endpoint):
+        connected.append(connect_server(endpoint))
+        return connected[-1]
+
+    monkeypatch.setattr(discovery, "connect_server", recording)
+    own = TcpClient(food.address)
+    _, directory = _scenario_clients()
+    try:
+        with pytest.raises(EndpointUnreachable):
+            discover([f"tcp:{food.address}", dead], directory, set())
+        with pytest.raises(EndpointUnreachable):
+            discover([own, dead], directory, set())
+        assert connected[0]._sock is None  # connected by discovery: closed
+        assert own._sock is not None  # built by the caller: still open
+    finally:
+        own.close()
+        food.shutdown()
+
+
+class _StubClient:
+    """Answers each method from ``answers``; an exception there is raised."""
+
+    def __init__(self, endpoint: str, answers: dict | None = None):
+        self.endpoint = endpoint
+        self._answers = {
+            "dalia/server_info": {"server_id": endpoint},
+            "dalia/list_capabilities": [],
+            "atdp/list_tasks": [],
+            "directory/snapshot": snapshot_to_json(scenario.scenario_directory()),
+            **(answers or {}),
+        }
+        self.closed = False
+
+    def call(self, method, params=None):
+        answer = self._answers[method]
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    def close(self):
+        self.closed = True
+
+
+_REFUSED = WireError(-32005, "refused")
+
+
+@pytest.mark.parametrize(
+    "servers, directory, message",
+    [
+        ([_StubClient("s1", {"dalia/server_info": _REFUSED})], _StubClient("dir"),
+         "s1: wire error -32005: refused"),
+        ([_StubClient("s1", {"dalia/server_info": {"id": "s1"}})], _StubClient("dir"),
+         "s1: bad server_info response"),
+        ([_StubClient("s1", {"dalia/server_info": ["s1"]})], _StubClient("dir"),
+         "s1: bad server_info response"),
+        ([_StubClient("s1"), _StubClient("s2", {"dalia/server_info": {"server_id": "s1"}})],
+         _StubClient("dir"), "two endpoints report the same server id 's1'"),
+        ([_StubClient("s1", {"dalia/list_capabilities": {}})], _StubClient("dir"),
+         "s1: list responses must be arrays"),
+        ([_StubClient("s1", {"atdp/list_tasks": "none"})], _StubClient("dir"),
+         "s1: list responses must be arrays"),
+        ([_StubClient("s1")], _StubClient("dir", {"directory/snapshot": _REFUSED}),
+         "directory: wire error -32005: refused"),
+    ],
+    ids=[
+        "server-info-error", "server-info-without-id", "server-info-not-an-object",
+        "one-server-id-twice", "capabilities-not-an-array", "tasks-not-an-array",
+        "snapshot-error",
+    ],
+)
+def test_discover_refuses_a_bad_answer(servers, directory, message):
+    with pytest.raises(ProtocolError) as excinfo:
+        discover(servers, directory, set())
+    assert str(excinfo.value) == message
+    assert not any(client.closed for client in [*servers, directory])  # the caller's

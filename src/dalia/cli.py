@@ -252,7 +252,9 @@ def _serve(dispatcher, address: str | None, name: str) -> None:
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
+    if out is None:  # plans and traces go out as UTF-8 whatever the locale
+        sys.stdout.reconfigure(encoding="utf-8")
+        out = sys.stdout
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

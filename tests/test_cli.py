@@ -261,6 +261,24 @@ def test_stdio_server_answers_in_utf8_under_an_ascii_locale():
     ).encode()
 
 
+def test_run_writes_utf8_under_an_ascii_locale():
+    outputs = {}
+    for encoding in ("utf-8", "ascii"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dalia.cli", "run", "--config", "configs/orchestrator.json",
+             "--intent", "book_restaurant", "--inputs", "location=café", "date=tomorrow",
+             "party_size=4"],
+            capture_output=True,
+            timeout=30,
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONIOENCODING": encoding},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs[encoding] = proc.stdout
+    assert outputs["ascii"] == outputs["utf-8"]
+    assert json.loads(outputs["ascii"])["final_bindings"]["location"] == "café"
+
+
 def test_directory_serve_snapshot_round_trip(tmp_path):
     snapshot_path = tmp_path / "directory.json"
     original = save_snapshot(scenario.scenario_directory()) + b"\n"

@@ -31,7 +31,7 @@ from dalia.planner import (
     plan,
     validate_graph,
 )
-from dalia.wire import HANDLER_FAULT
+from dalia.wire import HANDLER_FAULT, Invoker
 
 from test_planner import build_ctx, cap, task
 
@@ -421,3 +421,28 @@ def test_replay_check_detects_succeeded_after_failed(scenario_context, scenario_
     )
     report = replay_check(tampered, graph)
     assert any("skipped" in v for v in report.violations)
+
+
+class _ListAnsweringClient:
+    def call(self, method, params=None):
+        return ["restaurant_list"]
+
+
+@pytest.mark.parametrize(
+    "routes, error",
+    [
+        ({}, "invocation failed: wire error -32001: no route to server 'mcp_food_server'"),
+        (
+            {scenario.FOOD_SERVER_ID: _ListAnsweringClient()},
+            "invocation failed: invoke result must be an object of output slots",
+        ),
+    ],
+    ids=["no-route", "result-not-an-object"],
+)
+def test_invoker_refusals_become_failed_steps(scenario_context, scenario_goal, routes, error):
+    graph = plan(scenario_goal, scenario_context)
+    trace = execute(graph, scenario_goal, scenario_context, Invoker(routes))
+    assert trace.outcome == OUTCOME_ABORTED
+    assert [step.status for step in trace.steps] == [STATUS_FAILED, STATUS_SKIPPED]
+    assert trace.steps[0].error == error
+    assert replay_check(trace, graph).ok

@@ -23,6 +23,7 @@ from dalia.errors import (
     BindFailure,
     ConfigInvalid,
     EndpointUnreachable,
+    NoSuchTask,
     ProtocolError,
     WireError,
 )
@@ -170,6 +171,12 @@ def _json_body(length: int) -> bytes:
 def test_read_block_accepts_only_unsigned_ascii_decimal_lengths(header, body):
     with pytest.raises(ProtocolError):
         read_block(io.BytesIO(header + b"\r\n\r\n" + body))
+
+
+def test_read_block_refuses_a_header_over_32_bytes():
+    with pytest.raises(ProtocolError) as excinfo:
+        read_block(io.BytesIO(b"0" * 33 + b"2\r\n\r\n{}"))
+    assert str(excinfo.value) == "oversized frame header"
 
 
 class _RecordingReader(io.BytesIO):
@@ -459,6 +466,28 @@ def test_directory_error_codes():
             {"server_id": "Bad Server", "capability_ids": []},
         )
     assert excinfo.value.code == -32013
+
+
+def test_directory_bind_server_refuses_a_non_string_server_id():
+    with pytest.raises(WireError) as excinfo:
+        LocalClient(DirectoryService()).call(
+            "directory/bind_server", {"server_id": 5, "capability_ids": []}
+        )
+    assert (excinfo.value.code, excinfo.value.message) == (-32013, "not a valid server id: 5")
+
+
+@pytest.mark.parametrize(
+    "error", [NoSuchTask("x"), KeyError("k")], ids=["dalia-error", "other-error"]
+)
+def test_an_error_without_a_code_is_an_internal_error(error):
+    def failing(params):
+        raise error
+
+    dispatcher = wire._Dispatcher()
+    dispatcher._methods = {"test/fail": failing}
+    with pytest.raises(WireError) as excinfo:
+        LocalClient(dispatcher).call("test/fail")
+    assert (excinfo.value.code, excinfo.value.message) == (-32603, str(error))
 
 
 # -- transports ---------------------------------------------------------------------
@@ -865,6 +894,18 @@ def test_connect_server_local_endpoint(tmp_path):
     assert client.call("dalia/server_info") == {"server_id": "mcp_food_server"}
     with pytest.raises(EndpointUnreachable):
         connect_server(f"local:{tmp_path / 'missing.json'}")
+
+
+@pytest.mark.parametrize(
+    "endpoint, reason",
+    [(42, "42 (not an endpoint)"), ("udp:127.0.0.1:9", "udp:127.0.0.1:9 (unknown endpoint scheme)")],
+    ids=["not-a-string", "unknown-scheme"],
+)
+def test_connectors_refuse_what_is_not_an_endpoint(endpoint, reason):
+    for connect in (connect_server, wire.connect_directory):
+        with pytest.raises(EndpointUnreachable) as excinfo:
+            connect(endpoint)
+        assert str(excinfo.value) == f"endpoint unreachable: {reason}"
 
 
 # -- the wire transcript -------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import sys
 import threading
 from dataclasses import dataclass
@@ -252,9 +253,10 @@ def _serve(dispatcher, address: str | None, name: str) -> None:
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    if out is None:  # plans and traces go out as UTF-8 whatever the locale
-        sys.stdout.reconfigure(encoding="utf-8")
+    if out is None:
         out = sys.stdout
+        if isinstance(out, io.TextIOWrapper):  # UTF-8 whatever the locale
+            out.reconfigure(encoding="utf-8")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

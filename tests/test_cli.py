@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -277,6 +278,16 @@ def test_run_writes_utf8_under_an_ascii_locale():
         outputs[encoding] = proc.stdout
     assert outputs["ascii"] == outputs["utf-8"]
     assert json.loads(outputs["ascii"])["final_bindings"]["location"] == "café"
+
+
+def test_main_writes_to_whatever_replaced_sys_stdout(monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    replaced = io.StringIO()
+    with contextlib.redirect_stdout(replaced):
+        code = main(["plan", "--config", "configs/orchestrator.json", "--intent", "book_restaurant",
+                     "--inputs", *SCENARIO_INPUT_ARGS])
+    assert code == 0
+    assert json.loads(replaced.getvalue())["task_id"] == "restaurant.booking"
 
 
 def test_directory_serve_snapshot_round_trip(tmp_path):

@@ -687,7 +687,7 @@ class TcpClient:
 
     def _round_trip(self, frame: bytes) -> dict:
         """Send ``frame`` and read the response frame; on a fresh connection
-        if the open one ends before the first response byte."""
+        if none is open, or the open one fails before the first response byte."""
         if self._sock is not None:
             try:
                 self._sock.sendall(frame)

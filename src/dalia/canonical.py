@@ -15,12 +15,9 @@ import math
 from typing import Any
 
 
-def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-
-
 def canonical_bytes(obj: Any) -> bytes:
-    return canonical_dumps(obj).encode("utf-8")
+    text = json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+    return text.encode("utf-8")
 
 
 def _finite_float(text: str) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Any, Sequence
 
 from .canonical import strict_loads
@@ -40,6 +41,7 @@ IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 # peers for as long as it runs, so no memo may grow with what it is sent.
 MEMO_SIZE = 8192
 MEMO_TEXT_LIMIT = 128
+MEMO_DOCUMENT_TEXT_LIMIT = 2 * MEMO_TEXT_LIMIT
 
 CAPABILITY_FIELDS = (
     "capability_id",
@@ -50,6 +52,9 @@ CAPABILITY_FIELDS = (
     "preconditions",
     "postconditions",
 )
+_FIELD_SET = frozenset(CAPABILITY_FIELDS)
+_FIELD_TYPES = (str, str, str, list, list, list, list)
+_field_values = itemgetter(*CAPABILITY_FIELDS)
 
 
 def is_identifier(value: Any) -> bool:
@@ -69,10 +74,21 @@ class CapabilityId:
 
     Ordering is lexicographic on the rendered form (the field tuple order
     coincides with it because ``.`` sorts below every identifier character).
+    The hash is ``hash((namespace, name))``, as a dataclass would compute it,
+    but computed once per object and kept outside the fields.
     """
 
     namespace: str
     name: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.namespace, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # a copy in another process must hash with its seed
+        return CapabilityId, (self.namespace, self.name)
 
     @classmethod
     def parse(cls, text: Any) -> CapabilityId:
@@ -208,9 +224,36 @@ def parse_capability(document: Any) -> Capability:
     """Parse and validate one capability document.
 
     Raises MalformedDocument, SchemaViolation, or InvariantViolation; the
-    error lists every violated rule, not just the first.
+    error lists every violated rule, not just the first. A memo keeps up to
+    MEMO_SIZE valid documents of exactly the seven fields, each of its JSON
+    type, whose strings (list entries too) hold at most
+    MEMO_DOCUMENT_TEXT_LIMIT characters in all.
     """
     data = load_document(document, "capability")
+    key = _memo_key(data)
+    return _parse_fields(data) if key is None else _parse_memoised(key)
+
+
+def _memo_key(data: dict) -> tuple | None:
+    if data.keys() != _FIELD_SET:
+        return None
+    cid, role, domain, inputs, outputs, pre, post = values = _field_values(data)
+    if tuple(map(type, values)) != _FIELD_TYPES:
+        return None
+    try:
+        text = "".join([cid, role, domain, *inputs, *outputs, *pre, *post])
+    except TypeError:  # an entry that is not a string
+        return None
+    key = cid, role, domain, tuple(inputs), tuple(outputs), tuple(pre), tuple(post)
+    return key if len(text) <= MEMO_DOCUMENT_TEXT_LIMIT else None
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _parse_memoised(key: tuple) -> Capability:
+    return _parse_fields(dict(zip(CAPABILITY_FIELDS, (*key[:3], *map(list, key[3:])))))
+
+
+def _parse_fields(data: dict) -> Capability:
     schema = check_fields(data, CAPABILITY_FIELDS, "capability")
     capability_id, invariant = None, []
     if "capability_id" in data:
@@ -232,15 +275,8 @@ def parse_capability(document: Any) -> Capability:
 
     raise_aggregated(schema, invariant)
     assert capability_id is not None
-    return Capability(
-        capability_id=capability_id,
-        role=data["role"],
-        domain=data["domain"],
-        inputs=tuple(lists["inputs"]),
-        outputs=tuple(lists["outputs"]),
-        preconditions=tuple(lists["preconditions"]),
-        postconditions=tuple(lists["postconditions"]),
-    )
+    tokens = (tuple(lists[name]) for name in CAPABILITY_FIELDS[3:])
+    return Capability(capability_id, data["role"], data["domain"], *tokens)
 
 
 def _capability_invariants(

@@ -240,7 +240,8 @@ def cmd_directory_serve(args, out) -> int:
 def _serve(dispatcher, address: str | None, name: str) -> None:
     """Serve on TCP at ``address`` until interrupted, or on stdio until EOF."""
     if not address:
-        with contextlib.suppress(KeyboardInterrupt):
+        # A reader that closed its end of stdout ends the session, as EOF does.
+        with contextlib.suppress(KeyboardInterrupt, BrokenPipeError):
             serve_stdio(dispatcher)
         return
     handle = TcpServerHandle(dispatcher, address)

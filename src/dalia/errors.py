@@ -75,8 +75,7 @@ class UnknownAgent(DirectoryError):
 
 
 class InvalidCapabilityId(DirectoryError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class InvalidServerId(DirectoryError):

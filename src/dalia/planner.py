@@ -163,42 +163,33 @@ def synthesize_graph(task: TaskDeclaration, goal: Goal, ctx: ExecutionContext) -
     pool = [
         ctx.capability(cid) for cid in task.capabilities if cid in ctx.capabilities
     ]
-    producers_by_slot: dict[str, list[Capability]] = {}
+    producer_of: dict[str, Capability] = {}  # the smallest id producing each slot
     for cap in sorted(pool, key=lambda c: c.capability_id):
         for slot in cap.outputs:
-            producers_by_slot.setdefault(slot, []).append(cap)
+            producer_of.setdefault(slot, cap)
 
     source_bindings = tuple(sorted(goal.bindings))
     source = set(source_bindings)
 
     nodes: list[Node] = []
     node_of: dict[CapabilityId, int] = {}
-    pending = set(task.outputs)
-    processed: set[str] = set()
+    queued = set(task.outputs)  # every slot ever pending; each is processed once
+    pending = sorted(queued)
 
     while pending:
-        slot = min(pending)
-        pending.remove(slot)
-        processed.add(slot)
+        slot = heapq.heappop(pending)
         if slot in source:
             continue
-        producers = producers_by_slot.get(slot)
-        if not producers:
+        chosen = producer_of.get(slot)
+        if chosen is None:
             raise UnproducibleSlot(slot)
-        chosen = producers[0]
         if chosen.capability_id not in node_of:
             node_of[chosen.capability_id] = len(nodes)
-            nodes.append(
-                Node(
-                    node_id=len(nodes),
-                    capability_id=chosen.capability_id,
-                    agent_id="",
-                    server_id="",
-                )
-            )
+            nodes.append(Node(len(nodes), chosen.capability_id, agent_id="", server_id=""))
             for needed in chosen.inputs:
-                if needed not in processed:
-                    pending.add(needed)
+                if needed not in queued:
+                    queued.add(needed)
+                    heapq.heappush(pending, needed)
 
     edges: list[Edge] = []
     for node in nodes:
@@ -206,27 +197,13 @@ def synthesize_graph(task: TaskDeclaration, goal: Goal, ctx: ExecutionContext) -
         for slot in cap.inputs:
             if slot in source:
                 continue
-            producer = producers_by_slot[slot][0]
-            edges.append(
-                Edge(
-                    from_node=node_of[producer.capability_id],
-                    to_node=node.node_id,
-                    slot=slot,
-                )
-            )
+            edges.append(Edge(node_of[producer_of[slot].capability_id], node.node_id, slot))
 
-    graph = TaskGraph(
-        task_id=task.task_id,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        source_bindings=source_bindings,
-    )
-
+    graph = TaskGraph(task.task_id, tuple(nodes), tuple(edges), source_bindings)
     canonical_order(graph)  # raises CycleDetected
     defect = _first_precondition_defect(graph, goal, ctx)
     if defect is not None:
-        fact, capability_id = defect
-        raise PreconditionUnschedulable(fact, capability_id.render())
+        raise defect
     return graph
 
 
@@ -241,10 +218,10 @@ def canonical_order(graph: TaskGraph) -> list[int]:
 
 def _first_precondition_defect(
     graph: TaskGraph, goal: Goal, ctx: ExecutionContext
-) -> tuple[str, CapabilityId] | None:
-    """Simulate the canonical order of an acyclic graph; first precondition
-    that never holds. Undeclared capabilities are skipped: structural checks
-    report them."""
+) -> PreconditionUnschedulable | None:
+    """Simulate the canonical order of an acyclic graph; the error for the
+    first precondition that never holds. Undeclared capabilities are skipped:
+    structural checks report them."""
     facts = goal.initial_fact_set()
     for node_id in graph.ordering[0]:
         cid = graph.node(node_id).capability_id
@@ -253,7 +230,7 @@ def _first_precondition_defect(
         cap = ctx.capability(cid)
         for fact in cap.preconditions:
             if fact not in facts:
-                return fact, cid
+                return PreconditionUnschedulable(fact, cid.render())
         facts.update(cap.postconditions)
         facts.update(slot_known_fact(slot) for slot in cap.outputs)
     return None
@@ -266,13 +243,8 @@ def assign_agents(graph: TaskGraph, ctx: ExecutionContext) -> TaskGraph:
         eligible = resolve_capability(ctx.directory, node.capability_id)
         if not eligible:
             raise NoEligibleAgent(node.capability_id.render())
-        nodes.append(
-            replace(
-                node,
-                agent_id=eligible[0],
-                server_id=ctx.provider(node.capability_id),
-            )
-        )
+        server_id = ctx.provider(node.capability_id)
+        nodes.append(Node(node.node_id, node.capability_id, eligible[0], server_id))
     assigned = replace(graph, nodes=tuple(nodes))
     # assignment keeps node ids, capability ids and edges, so the order carries over
     assigned.__dict__["ordering"] = graph.ordering
@@ -281,22 +253,27 @@ def assign_agents(graph: TaskGraph, ctx: ExecutionContext) -> TaskGraph:
 
 def validate_graph(graph: TaskGraph, goal: Goal, ctx: ExecutionContext) -> ValidationReport:
     """Check acyclicity, groundedness, input coverage, and schedulability."""
-    report = ValidationReport()
-    report.violations += structural_violations(graph, ctx)
+    report = ValidationReport(structural_violations(graph, ctx))
 
     if not graph.ordering[1]:
         defect = _first_precondition_defect(graph, goal, ctx)
         if defect is not None:
-            fact, capability_id = defect
-            report.add(
-                f"precondition {fact!r} of {capability_id} is never asserted "
-                "before its node runs"
-            )
+            report.add(str(defect))
     return report
 
 
 def structural_violations(graph: TaskGraph, ctx: ExecutionContext) -> list[str]:
-    """Goal-independent graph defects: cycles, grounding, edge shape, coverage."""
+    """Goal-independent graph defects: cycles, grounding, edge shape, coverage.
+
+    Computed once per (graph, context) and kept on the graph, outside the
+    dataclass fields, with its context; each caller gets a fresh list."""
+    checked = graph.__dict__.get("_structural")
+    if checked is None or checked[0] is not ctx:
+        checked = graph.__dict__["_structural"] = (ctx, tuple(_structural_defects(graph, ctx)))
+    return list(checked[1])
+
+
+def _structural_defects(graph: TaskGraph, ctx: ExecutionContext) -> list[str]:
     violations: list[str] = []
 
     node_ids = {node.node_id for node in graph.nodes}
@@ -335,15 +312,20 @@ def structural_violations(graph: TaskGraph, ctx: ExecutionContext) -> list[str]:
                 f"provider of {node.capability_id}"
             )
 
+    # slot sets of the declared capabilities, so that checking an edge does
+    # not scan a consumer's inputs, however many producers feed it
+    declared = {node.capability_id for node in graph.nodes} & ctx.capabilities.keys()
+    inputs_of = {cid: frozenset(ctx.capability(cid).inputs) for cid in declared}
+    outputs_of = {cid: frozenset(ctx.capability(cid).outputs) for cid in declared}
     for edge in graph.edges:
         if edge.from_node not in node_ids or edge.to_node not in node_ids:
             violations.append(f"edge references a missing node: {edge.to_json()}")
             continue
         producer = graph.node(edge.from_node).capability_id
         consumer = graph.node(edge.to_node).capability_id
-        if producer in ctx.capabilities and edge.slot not in ctx.capability(producer).outputs:
+        if producer in outputs_of and edge.slot not in outputs_of[producer]:
             violations.append(f"edge slot {edge.slot!r} is not an output of {producer}")
-        if consumer in ctx.capabilities and edge.slot not in ctx.capability(consumer).inputs:
+        if consumer in inputs_of and edge.slot not in inputs_of[consumer]:
             violations.append(f"edge slot {edge.slot!r} is not an input of {consumer}")
 
     source = set(graph.source_bindings)

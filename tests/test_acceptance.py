@@ -23,6 +23,7 @@ from oracles import (
 )
 
 import scenario
+from counting import CountingClient
 from dalia.canonical import canonical_bytes
 from dalia.capabilities import CapabilityId
 from dalia.cli import main as cli_main
@@ -55,7 +56,6 @@ from dalia.planner import (
 )
 from dalia.wire import (
     METHOD_NOT_FOUND,
-    CountingClient,
     DirectoryService,
     LocalClient,
     WireServer,

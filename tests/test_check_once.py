@@ -1,4 +1,5 @@
-"""Each declaration is checked once per process, and the memos stay bounded.
+"""Each declaration is checked once per process, each graph once per
+context, and the memos stay bounded.
 
 On the ``local:`` path a capability is parsed from its server's file, checked
 once for the server's start-up, and parsed again at the wire boundary when
@@ -9,16 +10,29 @@ server reads ids from its peers for as long as it runs.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scenario
-from dalia import capabilities, discovery, wire
+from dalia import capabilities, discovery, planner, wire
 from dalia.canonical import canonical_bytes
-from dalia.capabilities import MEMO_SIZE, MEMO_TEXT_LIMIT
+from dalia.capabilities import (
+    MEMO_DOCUMENT_TEXT_LIMIT,
+    MEMO_SIZE,
+    MEMO_TEXT_LIMIT,
+    CapabilityId,
+    parse_capability,
+)
 from dalia.cli import main
 from dalia.directory import (
     AgentRecord,
@@ -27,7 +41,10 @@ from dalia.directory import (
     register_agent,
     save_snapshot,
 )
-from dalia.errors import WireError
+from dalia.discovery import build_invoker, discover
+from dalia.errors import InvalidGraph, InvariantViolation, ValidationError, WireError
+from dalia.executor import OUTCOME_COMPLETED, execute
+from dalia.planner import plan, structural_violations, validate_graph
 from dalia.wire import DirectoryService, LocalClient
 
 LINKS = 12
@@ -163,3 +180,213 @@ def test_strings_longer_than_the_limit_are_checked_but_not_kept():
             f"capability_id must have exactly two dot-separated segments: '{long_id}.x'"
         )
     assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+
+
+# -- the capability-document memo ----------------------------------------------
+
+_TOKEN_FIELDS = ("inputs", "outputs", "preconditions", "postconditions")
+_IDENTIFIERS = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+_SCALARS = st.one_of(st.integers(-2, 2), st.booleans(), st.floats(-1, 1), st.none())
+
+
+def _capability_doc(i: int, inputs=("req",), outputs=("res",)) -> dict:
+    return {
+        "capability_id": f"memo{i}.cap",
+        "role": "step",
+        "domain": "memo",
+        "inputs": list(inputs),
+        "outputs": list(outputs),
+        "preconditions": [],
+        "postconditions": [],
+    }
+
+
+def _outcome(parse, document):
+    """The parse result, or the type and message of what it raised."""
+    try:
+        return parse(document)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _near_miss_documents(draw) -> tuple[dict, list[dict]]:
+    """(document, documents that warm the memo first). The document is valid
+    or differs from a valid one in one way a memo key could miss."""
+    doc = {
+        "capability_id": draw(_IDENTIFIERS) + "." + draw(_IDENTIFIERS),
+        "role": draw(st.text(max_size=8)),
+        "domain": draw(st.text(max_size=8)),
+        **{
+            name: draw(st.lists(_IDENTIFIERS, max_size=4, unique=True))
+            for name in _TOKEN_FIELDS
+        },
+    }
+    warm = [json.loads(json.dumps(doc))]
+    field = draw(st.sampled_from(_TOKEN_FIELDS))
+    entries = doc[field]
+    kind = draw(
+        st.sampled_from(
+            ["valid", "string", "reordered", "repeated", "scalar", "long_string",
+             "over_bound", "scalar_field", "missing", "extra", "tuple"]
+        )
+    )
+    if kind == "string":  # a string the memoised list of its characters would match
+        text = draw(st.text(alphabet="abcdef", min_size=1, max_size=4))
+        warm.append(dict(doc, **{field: list(text)}))
+        doc[field] = text
+    elif kind == "reordered" and len(entries) > 1:
+        doc[field] = entries[::-1]
+    elif kind == "repeated" and entries:
+        doc[field] = entries + [entries[0]]
+    elif kind == "scalar":
+        doc[field] = entries + [draw(_SCALARS)]
+    elif kind == "long_string":
+        long_token = "a" * (MEMO_TEXT_LIMIT + draw(st.integers(1, 3)))
+        doc[field] = entries + [long_token]
+    elif kind == "over_bound":
+        doc[field] = entries + [f"t{i}" for i in range(MEMO_DOCUMENT_TEXT_LIMIT // 2)]
+    elif kind == "scalar_field":
+        doc[draw(st.sampled_from(["capability_id", "role", "domain"]))] = draw(_SCALARS)
+    elif kind == "missing":
+        del doc[field]
+    elif kind == "extra":
+        doc["extra"] = entries
+    elif kind == "tuple":  # a tuple is not a JSON list, however equal its entries
+        doc[field] = tuple(entries)
+    return doc, warm
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_near_miss_documents())
+def test_a_warm_memo_parses_as_the_unmemoised_parser_does(case):
+    doc, warm = case
+    for document in warm:
+        with contextlib.suppress(ValidationError):
+            parse_capability(document)
+    expected = _outcome(capabilities._parse_fields, doc)
+    assert _outcome(parse_capability, doc) == expected
+    assert _outcome(parse_capability, doc) == expected  # and again, once kept
+
+
+def test_the_document_memo_keeps_at_most_memo_size_valid_documents():
+    memo = capabilities._parse_memoised
+    memo.cache_clear()
+    for i in range(MEMO_SIZE + 500):
+        assert parse_capability(_capability_doc(i)).capability_id == CapabilityId(f"memo{i}", "cap")
+        with pytest.raises(InvariantViolation):  # a slot that is an input and an output
+            parse_capability(_capability_doc(i, inputs=("res",)))
+    info = memo.cache_info()
+    assert info.maxsize == MEMO_SIZE
+    assert info.misses > MEMO_SIZE
+    assert info.currsize == MEMO_SIZE
+    memo.cache_clear()
+    for i in range(100):
+        with pytest.raises(InvariantViolation):
+            parse_capability(_capability_doc(i, inputs=("res",)))
+    assert memo.cache_info().currsize == 0  # an invalid document is never kept
+
+
+def test_documents_over_the_text_bound_are_parsed_but_not_kept():
+    memo = capabilities._parse_memoised
+    memo.cache_clear()
+    many = [f"in{i}" for i in range(MEMO_DOCUMENT_TEXT_LIMIT // 3)]
+    for i in range(100):
+        doc = _capability_doc(i, inputs=many)
+        assert parse_capability(doc).inputs == tuple(many)
+        with pytest.raises(InvariantViolation):
+            parse_capability(dict(doc, outputs=many[:1]))
+    assert memo.cache_info().currsize == 0
+    fits = _capability_doc(0, inputs=many[: len(many) // 2])
+    parse_capability(fits)
+    assert memo.cache_info().currsize == 1
+
+
+# -- CapabilityId's hash ---------------------------------------------------------
+
+
+@given(namespace=st.text(), name=st.text())
+def test_a_capability_id_hashes_as_its_field_tuple(namespace, name):
+    assert hash(CapabilityId(namespace, name)) == hash((namespace, name))
+
+
+def test_a_capability_id_keeps_its_fields_equality_order_and_repr():
+    cid = CapabilityId("restaurant", "search")
+    assert cid != ("restaurant", "search")
+    assert cid == CapabilityId("restaurant", "search")
+    assert sorted([CapabilityId("b", "a"), CapabilityId("a", "b"), CapabilityId("a", "a")]) == [
+        CapabilityId("a", "a"), CapabilityId("a", "b"), CapabilityId("b", "a"),
+    ]
+    assert repr(cid) == "CapabilityId(namespace='restaurant', name='search')"
+    assert [f.name for f in dataclasses.fields(cid)] == ["namespace", "name"]
+    assert dataclasses.replace(cid, name="reserve") == CapabilityId("restaurant", "reserve")
+
+
+def test_a_capability_id_computes_its_hash_once():
+    cid = CapabilityId("restaurant", "search")
+    before = hash(cid)
+    object.__setattr__(cid, "name", "reserve")  # behind the frozen guard
+    assert hash(cid) == before != hash(("restaurant", "reserve"))
+
+
+def test_an_unpickled_capability_id_hashes_with_its_own_process_seed():
+    script = (
+        "import pickle, sys; from dalia.capabilities import CapabilityId\n"
+        "if sys.argv[1] == 'dump':\n"
+        "    sys.stdout.buffer.write(pickle.dumps(CapabilityId('restaurant', 'search')))\n"
+        "else:\n"
+        "    cid = pickle.loads(sys.stdin.buffer.read())\n"
+        "    assert hash(cid) == hash(('restaurant', 'search'))\n"
+        "    assert cid in {CapabilityId('restaurant', 'search')}\n"
+    )
+    dumped = subprocess.run(
+        [sys.executable, "-c", script, "dump"],
+        capture_output=True, check=True, timeout=30,
+        env={**os.environ, "PYTHONHASHSEED": "1"},
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", script, "load"],
+        input=dumped.stdout, capture_output=True, timeout=30,
+        env={**os.environ, "PYTHONHASHSEED": "2"},
+    )
+    assert (loaded.returncode, loaded.stderr) == (0, b"")
+
+
+# -- one structural check per (graph, context) --------------------------------------
+
+
+def test_the_structural_check_runs_once_per_graph_and_context(
+    monkeypatch, food_client, directory_client, scenario_goal
+):
+    contexts = [
+        discover([food_client], directory_client, set(scenario_goal.bindings)) for _ in range(2)
+    ]
+    checked = _counting(monkeypatch, planner, "_structural_defects", lambda args, _: id(args[1]))
+    graph = plan(scenario_goal, contexts[0])
+    assert validate_graph(graph, scenario_goal, contexts[0]).ok
+    trace = execute(graph, scenario_goal, contexts[0], build_invoker(contexts[0]))
+    assert trace.outcome == OUTCOME_COMPLETED
+    assert checked == Counter({id(contexts[0]): 1})
+
+    # another context, however equal, is checked afresh, and then kept instead
+    assert structural_violations(graph, contexts[1]) == []
+    assert structural_violations(graph, contexts[1]) == []
+    assert checked == Counter({id(contexts[0]): 1, id(contexts[1]): 1})
+
+
+def test_each_caller_gets_its_own_list_of_structural_defects(scenario_context, scenario_goal):
+    graph = plan(scenario_goal, scenario_context)
+    tampered = dataclasses.replace(graph, edges=graph.edges[:1] * 2)
+    first = structural_violations(tampered, scenario_context)
+    assert first  # the repeated edge gives the consumer's slot two producers
+    report = validate_graph(tampered, scenario_goal, scenario_context)
+    assert report.violations == first
+    first.append("appended by a caller")
+    report.violations.clear()
+    with pytest.raises(InvalidGraph) as caught:
+        execute(tampered, scenario_goal, scenario_context, build_invoker(scenario_context))
+    assert caught.value.violations == structural_violations(tampered, scenario_context)
+    assert "appended by a caller" not in caught.value.violations
+    assert caught.value.violations == validate_graph(
+        tampered, scenario_goal, scenario_context
+    ).violations

@@ -262,6 +262,31 @@ def test_stdio_server_answers_in_utf8_under_an_ascii_locale():
     ).encode()
 
 
+def test_stdio_server_stops_quietly_when_its_reader_goes_away(tmp_path):
+    # The answers outgrow a pipe's buffer, so the server is still writing
+    # when the reader closes its end.
+    request = canonical_bytes({"jsonrpc": "2.0", "id": 1, "method": "dalia/list_capabilities"})
+    requests = tmp_path / "requests.jsonl"
+    requests.write_bytes((request + b"\n") * 3000)
+    with open(requests, "rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dalia.cli", "server", "serve", "--config", "configs/food_server.json"],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=REPO_ROOT,
+        )
+        try:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+    assert head == b'{"jsonrpc"'
+    assert (proc.returncode, stderr) == (0, b"")
+
+
 def test_run_writes_utf8_under_an_ascii_locale():
     outputs = {}
     for encoding in ("utf-8", "ascii"):

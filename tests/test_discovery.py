@@ -5,6 +5,7 @@ import socket
 import pytest
 
 import scenario
+from counting import CountingClient
 from dalia import discovery
 from dalia.atdp import TaskDeclaration
 from dalia.canonical import canonical_bytes
@@ -21,7 +22,6 @@ from dalia.errors import (
 from dalia.executor import execute
 from dalia.planner import Goal, plan, resolve_goal
 from dalia.wire import (
-    CountingClient,
     DirectoryService,
     LocalClient,
     ServerConfig,

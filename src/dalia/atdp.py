@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .capabilities import (
+    DOCUMENT_MEMO,
     Capability,
     CapabilityId,
     check_fields,
@@ -70,8 +71,15 @@ class FeasibilityReport:
 
 
 def parse_task(document: Any) -> TaskDeclaration:
-    """Parse and validate one task declaration; errors aggregate every rule broken."""
+    """Parse and validate one task declaration; errors aggregate every rule
+    broken. Valid documents are kept in ``DOCUMENT_MEMO``."""
     data = load_document(document, "task")
+    return DOCUMENT_MEMO.parse(
+        "task", data.get("task_id"), data, lambda: _parse_fields(data), TaskDeclaration.to_json
+    )
+
+
+def _parse_fields(data: dict) -> TaskDeclaration:
     schema = check_fields(data, TASK_FIELDS, "task")
     task_id, invariant = None, []
     if "task_id" in data:

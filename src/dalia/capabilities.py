@@ -18,10 +18,11 @@ All values in this module are immutable after construction.
 from __future__ import annotations
 
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from .canonical import strict_loads
 from .errors import (
@@ -38,10 +39,12 @@ IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 # A memo below keeps at most MEMO_SIZE strings, each at most MEMO_TEXT_LIMIT
 # long (a longer one is checked afresh): a directory server reads ids from its
-# peers for as long as it runs, so no memo may grow with what it is sent.
+# peers for as long as it runs, so no memo may grow with what it is sent. The
+# document memo keeps at most MEMO_SIZE documents, whose text (see
+# DocumentMemo) is at most MEMO_TEXT_BUDGET in all.
 MEMO_SIZE = 8192
 MEMO_TEXT_LIMIT = 128
-MEMO_DOCUMENT_TEXT_LIMIT = 2 * MEMO_TEXT_LIMIT
+MEMO_TEXT_BUDGET = MEMO_SIZE * MEMO_TEXT_LIMIT
 
 CAPABILITY_FIELDS = (
     "capability_id",
@@ -52,9 +55,6 @@ CAPABILITY_FIELDS = (
     "preconditions",
     "postconditions",
 )
-_FIELD_SET = frozenset(CAPABILITY_FIELDS)
-_FIELD_TYPES = (str, str, str, list, list, list, list)
-_field_values = itemgetter(*CAPABILITY_FIELDS)
 
 
 def is_identifier(value: Any) -> bool:
@@ -172,6 +172,98 @@ def load_document(document: Any, kind: str) -> dict:
     return document
 
 
+_T = TypeVar("_T")
+
+
+class DocumentMemo:
+    """Parsed documents by (kind, id), each kept with its own canonical document.
+
+    ``parse`` returns the kept value when the document is ``==`` to the
+    canonical document of the value kept under its kind and id: a hit is one
+    comparison, and returns the same immutable value. Every miss runs the
+    full parser, and only a value it returns is kept, with the canonical
+    document ``render`` builds from that value, never the caller's object;
+    so a caller that mutates its document and parses it again gets a result
+    that reflects the change. An id that is not a string is never kept.
+
+    The memo keeps at most ``size`` values, whose canonical documents hold at
+    most ``budget`` characters in all (the lengths of their strings, dict keys
+    included); it drops the least recently used first, and never keeps a
+    document longer than the whole budget.
+    """
+
+    def __init__(self, size: int = MEMO_SIZE, budget: int = MEMO_TEXT_BUDGET):
+        self.size = size
+        self.budget = budget
+        self.text = 0  # characters kept
+        self._entries: OrderedDict[tuple[str, str], tuple[dict, Any, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.text = 0
+
+    def parse(
+        self,
+        kind: str,
+        ident: Any,
+        data: dict,
+        parser: Callable[[], _T],
+        render: Callable[[_T], dict],
+        fields: tuple[str, ...] | None = None,
+    ) -> _T:
+        """The value for ``data``: kept under ``(kind, ident)``, or ``parser()``'s.
+
+        ``render`` builds a value's canonical document. With ``fields``, only
+        those fields of ``data`` and of that document are compared, but the
+        whole document is charged to the budget.
+        """
+        if type(ident) is not str:
+            return parser()
+        view = data if fields is None else {name: data[name] for name in fields if name in data}
+        key = kind, ident
+        entry = self._entries.get(key)
+        if entry is not None:
+            try:  # each OrderedDict call is atomic; a writer may evict the key in between
+                self._entries.move_to_end(key)
+            except KeyError:
+                pass
+            if entry[0] == view:
+                return entry[1]
+        value = parser()
+        document = render(value)
+        text = _text_length(document)
+        if fields is not None:
+            document = {name: document[name] for name in fields}
+        if text <= self.budget:
+            with self._lock:
+                replaced = self._entries.pop(key, None)
+                self.text += text - (replaced[2] if replaced else 0)
+                self._entries[key] = document, value, text
+                while len(self._entries) > self.size or self.text > self.budget:
+                    self.text -= self._entries.popitem(last=False)[1][2]
+        return value
+
+
+def _text_length(document: Any) -> int:
+    """Characters in a canonical document's strings: dict keys and values,
+    list entries (lists hold strings only)."""
+    if isinstance(document, str):
+        return len(document)
+    if isinstance(document, list):
+        return len("".join(document))
+    return sum(len(key) + _text_length(value) for key, value in document.items())
+
+
+# One memo for capability, task and snapshot documents: every goal of a
+# long-running orchestrator discovers the same documents again.
+DOCUMENT_MEMO = DocumentMemo()
+
+
 def check_fields(data: dict, required: tuple[str, ...], kind: str) -> list[str]:
     """Schema problems for missing or unexpected top-level fields."""
     if data.keys() == set(required):
@@ -224,33 +316,13 @@ def parse_capability(document: Any) -> Capability:
     """Parse and validate one capability document.
 
     Raises MalformedDocument, SchemaViolation, or InvariantViolation; the
-    error lists every violated rule, not just the first. A memo keeps up to
-    MEMO_SIZE valid documents of exactly the seven fields, each of its JSON
-    type, whose strings (list entries too) hold at most
-    MEMO_DOCUMENT_TEXT_LIMIT characters in all.
+    error lists every violated rule, not just the first. Valid documents are
+    kept in ``DOCUMENT_MEMO``.
     """
     data = load_document(document, "capability")
-    key = _memo_key(data)
-    return _parse_fields(data) if key is None else _parse_memoised(key)
-
-
-def _memo_key(data: dict) -> tuple | None:
-    if data.keys() != _FIELD_SET:
-        return None
-    cid, role, domain, inputs, outputs, pre, post = values = _field_values(data)
-    if tuple(map(type, values)) != _FIELD_TYPES:
-        return None
-    try:
-        text = "".join([cid, role, domain, *inputs, *outputs, *pre, *post])
-    except TypeError:  # an entry that is not a string
-        return None
-    key = cid, role, domain, tuple(inputs), tuple(outputs), tuple(pre), tuple(post)
-    return key if len(text) <= MEMO_DOCUMENT_TEXT_LIMIT else None
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _parse_memoised(key: tuple) -> Capability:
-    return _parse_fields(dict(zip(CAPABILITY_FIELDS, (*key[:3], *map(list, key[3:])))))
+    return DOCUMENT_MEMO.parse(
+        "capability", data.get("capability_id"), data, lambda: _parse_fields(data), Capability.to_json
+    )
 
 
 def _parse_fields(data: dict) -> Capability:

@@ -15,7 +15,13 @@ from functools import cached_property
 from typing import Any, Iterable
 
 from .canonical import canonical_bytes
-from .capabilities import CapabilityId, is_identifier, load_document, parse_capability_id
+from .capabilities import (
+    DOCUMENT_MEMO,
+    CapabilityId,
+    is_identifier,
+    load_document,
+    parse_capability_id,
+)
 from .errors import (
     DirectoryError,
     InvalidCapabilityId,
@@ -26,6 +32,7 @@ from .errors import (
 )
 
 AGENT_RECORD_FIELDS = ("agent_id", "role", "domains", "accessible_servers")
+SNAPSHOT_FIELDS = ("origin", "agents", "server_capabilities")
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,31 @@ class DirectorySnapshot:
                     if not eligible or eligible[-1] != agent_id:
                         eligible.append(agent_id)
         return index
+
+    @cached_property
+    def _persisted(self) -> tuple[dict, dict, dict]:
+        """The id lists of the persisted form, keys sorted, rendered once per
+        value: (server id -> its bound ids rendered, agent id -> the ids it
+        can execute, sorted and deduplicated, agent id -> those rendered).
+        Callers copy them."""
+        text = {cid: cid.render() for cids in self.server_capabilities.values() for cid in cids}
+        bound = {
+            server_id: tuple(map(text.__getitem__, self.server_capabilities[server_id]))
+            for server_id in sorted(self.server_capabilities)
+        }
+        executable = {}
+        for agent_id in sorted(self.agents):
+            union = {
+                cid
+                for server_id in self.agents[agent_id].accessible_servers
+                for cid in self.server_capabilities.get(server_id, ())
+            }
+            # the ids' order (see CapabilityId), compared in C
+            executable[agent_id] = tuple(sorted(union, key=text.__getitem__))
+        rendered = {
+            agent_id: tuple(map(text.__getitem__, cids)) for agent_id, cids in executable.items()
+        }
+        return bound, executable, rendered
 
 
 def empty_snapshot(origin: str = "directory") -> DirectorySnapshot:
@@ -173,13 +205,9 @@ def bind_server_capabilities(
 
 def executable_capabilities(snapshot: DirectorySnapshot, agent_id: str) -> list[CapabilityId]:
     """Derived view: what ``agent_id`` can execute, sorted, deduplicated."""
-    record = snapshot.agents.get(agent_id)
-    if record is None:
+    if agent_id not in snapshot.agents:
         raise UnknownAgent(agent_id)
-    union: set[CapabilityId] = set()
-    for server_id in record.accessible_servers:
-        union.update(snapshot.server_capabilities.get(server_id, ()))
-    return sorted(union, key=CapabilityId.render)  # the ids' order (see CapabilityId), compared in C
+    return list(snapshot._persisted[1][agent_id])
 
 
 def resolve_capability(snapshot: DirectorySnapshot, capability_id: CapabilityId) -> list[str]:
@@ -189,6 +217,12 @@ def resolve_capability(snapshot: DirectorySnapshot, capability_id: CapabilityId)
     executable view it is never persisted or compared (not a dataclass field).
     """
     return list(snapshot._eligible_agents.get(capability_id, ()))
+
+
+def is_eligible(snapshot: DirectorySnapshot, agent_id: str, capability_id: CapabilityId) -> bool:
+    """Whether ``agent_id`` is among ``resolve_capability``'s agents, read
+    from the same index without copying it."""
+    return agent_id in snapshot._eligible_agents.get(capability_id, ())
 
 
 def merge(snapshots: list[DirectorySnapshot]) -> DirectorySnapshot:
@@ -224,21 +258,19 @@ def snapshot_to_json(snapshot: DirectorySnapshot) -> dict:
     """Canonical persisted form: maps sorted by key, plus the derived view.
 
     ``derived_executable_capabilities`` is recomputable and ignored on load;
-    it is emitted for human inspection only.
+    it is emitted for human inspection only. Every call builds fresh
+    containers.
     """
+    bound, _, executable = snapshot._persisted
     return {
         "origin": snapshot.origin,
         "agents": {
             agent_id: snapshot.agents[agent_id].to_json()
             for agent_id in sorted(snapshot.agents)
         },
-        "server_capabilities": {
-            server_id: [cid.render() for cid in snapshot.server_capabilities[server_id]]
-            for server_id in sorted(snapshot.server_capabilities)
-        },
+        "server_capabilities": {server_id: list(ids) for server_id, ids in bound.items()},
         "derived_executable_capabilities": {
-            agent_id: [cid.render() for cid in executable_capabilities(snapshot, agent_id)]
-            for agent_id in sorted(snapshot.agents)
+            agent_id: list(ids) for agent_id, ids in executable.items()
         },
     }
 
@@ -248,13 +280,25 @@ def save_snapshot(snapshot: DirectorySnapshot) -> bytes:
 
 
 def load_snapshot(data: Any) -> DirectorySnapshot:
-    """Inverse of save_snapshot; every load problem raises MalformedDocument."""
+    """Inverse of save_snapshot; every load problem raises MalformedDocument.
+
+    Valid snapshots are kept in ``DOCUMENT_MEMO`` by origin; only the fields
+    read here (``SNAPSHOT_FIELDS``) are compared, and the whole persisted
+    form, with its derived view, is charged to the memo's budget.
+    """
     data = load_document(data, "snapshot")
-    problems = [
-        f"missing field {name!r}"
-        for name in ("origin", "agents", "server_capabilities")
-        if name not in data
-    ]
+    return DOCUMENT_MEMO.parse(
+        "snapshot",
+        data.get("origin"),
+        data,
+        lambda: _load_fields(data),
+        snapshot_to_json,
+        SNAPSHOT_FIELDS,
+    )
+
+
+def _load_fields(data: dict) -> DirectorySnapshot:
+    problems = [f"missing field {name!r}" for name in SNAPSHOT_FIELDS if name not in data]
     if problems:
         raise MalformedDocument(problems)
     if not isinstance(data["origin"], str):

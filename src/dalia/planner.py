@@ -24,7 +24,7 @@ from typing import Any
 from .atdp import TaskDeclaration
 from .canonical import canonical_bytes
 from .capabilities import Capability, CapabilityId, check_fields, load_document, parse_capability_id
-from .directory import resolve_capability
+from .directory import is_eligible, resolve_capability
 from .discovery import ExecutionContext
 from .errors import (
     AmbiguousIntent,
@@ -204,6 +204,8 @@ def synthesize_graph(task: TaskDeclaration, goal: Goal, ctx: ExecutionContext) -
     defect = _first_precondition_defect(graph, goal, ctx)
     if defect is not None:
         raise defect
+    # kept outside the dataclass fields, so validate_graph need not simulate again
+    graph.__dict__["_schedulable"] = goal, ctx
     return graph
 
 
@@ -237,7 +239,11 @@ def _first_precondition_defect(
 
 
 def assign_agents(graph: TaskGraph, ctx: ExecutionContext) -> TaskGraph:
-    """Assign each node the smallest eligible agent and its provider server."""
+    """Assign each node the smallest eligible agent and its provider server.
+
+    The assigned graph keeps the canonical order and the precondition
+    simulation of ``graph``: assignment changes neither node ids, capability
+    ids nor edges."""
     nodes = []
     for node in graph.nodes:
         eligible = resolve_capability(ctx.directory, node.capability_id)
@@ -246,16 +252,22 @@ def assign_agents(graph: TaskGraph, ctx: ExecutionContext) -> TaskGraph:
         server_id = ctx.provider(node.capability_id)
         nodes.append(Node(node.node_id, node.capability_id, eligible[0], server_id))
     assigned = replace(graph, nodes=tuple(nodes))
-    # assignment keeps node ids, capability ids and edges, so the order carries over
     assigned.__dict__["ordering"] = graph.ordering
+    if "_schedulable" in graph.__dict__:
+        assigned.__dict__["_schedulable"] = graph.__dict__["_schedulable"]
     return assigned
 
 
 def validate_graph(graph: TaskGraph, goal: Goal, ctx: ExecutionContext) -> ValidationReport:
-    """Check acyclicity, groundedness, input coverage, and schedulability."""
+    """Check acyclicity, groundedness, input coverage, and schedulability.
+
+    The canonical order is simulated unless ``synthesize_graph`` already
+    simulated this graph's for the same goal and context (objects, not
+    equal values); a parsed or tampered graph is always simulated."""
     report = ValidationReport(structural_violations(graph, ctx))
 
-    if not graph.ordering[1]:
+    schedulable = graph.__dict__.get("_schedulable", (None, None))
+    if not graph.ordering[1] and (schedulable[0] is not goal or schedulable[1] is not ctx):
         defect = _first_precondition_defect(graph, goal, ctx)
         if defect is not None:
             report.add(str(defect))
@@ -299,13 +311,11 @@ def _structural_defects(graph: TaskGraph, ctx: ExecutionContext) -> list[str]:
                 f"node {node.node_id} references undeclared capability {node.capability_id}"
             )
             continue
-        if node.agent_id:
-            eligible = resolve_capability(ctx.directory, node.capability_id)
-            if node.agent_id not in eligible:
-                violations.append(
-                    f"node {node.node_id} agent {node.agent_id!r} is not eligible "
-                    f"for {node.capability_id}"
-                )
+        if node.agent_id and not is_eligible(ctx.directory, node.agent_id, node.capability_id):
+            violations.append(
+                f"node {node.node_id} agent {node.agent_id!r} is not eligible "
+                f"for {node.capability_id}"
+            )
         if node.server_id and node.server_id != ctx.provider(node.capability_id):
             violations.append(
                 f"node {node.node_id} server {node.server_id!r} is not the "

@@ -5,7 +5,9 @@ On the ``local:`` path a capability is parsed from its server's file, checked
 once for the server's start-up, and parsed again at the wire boundary when
 discovery reads what the server returns. Capability-id text and identifiers
 are memoised per distinct string, under a fixed bound, because a directory
-server reads ids from its peers for as long as it runs.
+server reads ids from its peers for as long as it runs. Capability, task and
+snapshot documents share one memo, which must parse exactly as the
+unmemoised parsers do.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import dataclasses
 import io
 import json
 import os
+import string
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -24,25 +28,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scenario
-from dalia import capabilities, discovery, planner, wire
+from dalia import atdp, capabilities, directory, discovery, planner, wire
+from dalia.atdp import parse_task
 from dalia.canonical import canonical_bytes
 from dalia.capabilities import (
-    MEMO_DOCUMENT_TEXT_LIMIT,
+    DOCUMENT_MEMO,
     MEMO_SIZE,
+    MEMO_TEXT_BUDGET,
     MEMO_TEXT_LIMIT,
+    Capability,
     CapabilityId,
+    DocumentMemo,
     parse_capability,
 )
 from dalia.cli import main
 from dalia.directory import (
     AgentRecord,
+    DirectorySnapshot,
     bind_server_capabilities,
     empty_snapshot,
+    executable_capabilities,
+    load_snapshot,
     register_agent,
     save_snapshot,
+    snapshot_to_json,
 )
-from dalia.discovery import build_invoker, discover
-from dalia.errors import InvalidGraph, InvariantViolation, ValidationError, WireError
+from dalia.discovery import build_invoker, context_fingerprint, discover
+from dalia.errors import (
+    InvalidGraph,
+    InvariantViolation,
+    MalformedDocument,
+    ValidationError,
+    WireError,
+)
 from dalia.executor import OUTCOME_COMPLETED, execute
 from dalia.planner import plan, structural_violations, validate_graph
 from dalia.wire import DirectoryService, LocalClient
@@ -182,10 +200,15 @@ def test_strings_longer_than_the_limit_are_checked_but_not_kept():
     assert [memo.cache_info().currsize for memo in memos] == [0, 0]
 
 
-# -- the capability-document memo ----------------------------------------------
+# -- the document memo ------------------------------------------------------------
 
 _TOKEN_FIELDS = ("inputs", "outputs", "preconditions", "postconditions")
-_IDENTIFIERS = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+_IDENTIFIERS = st.builds(
+    str.__add__,
+    st.sampled_from(string.ascii_lowercase),
+    st.text(string.ascii_lowercase + string.digits + "_", max_size=5),
+)
+_CAPABILITY_IDS = st.builds("{}.{}".format, _IDENTIFIERS, _IDENTIFIERS)
 _SCALARS = st.one_of(st.integers(-2, 2), st.booleans(), st.floats(-1, 1), st.none())
 
 
@@ -209,12 +232,20 @@ def _outcome(parse, document):
         return type(exc), str(exc)
 
 
+def _json_copy(document):
+    return json.loads(json.dumps(document))
+
+
+def _reversed_keys(document: dict) -> dict:
+    return dict(reversed(document.items()))
+
+
 @st.composite
-def _near_miss_documents(draw) -> tuple[dict, list[dict]]:
+def _capability_cases(draw) -> tuple[dict, list[dict]]:
     """(document, documents that warm the memo first). The document is valid
-    or differs from a valid one in one way a memo key could miss."""
+    or differs from a valid one in one way a memo could miss."""
     doc = {
-        "capability_id": draw(_IDENTIFIERS) + "." + draw(_IDENTIFIERS),
+        "capability_id": draw(_CAPABILITY_IDS),
         "role": draw(st.text(max_size=8)),
         "domain": draw(st.text(max_size=8)),
         **{
@@ -222,16 +253,17 @@ def _near_miss_documents(draw) -> tuple[dict, list[dict]]:
             for name in _TOKEN_FIELDS
         },
     }
-    warm = [json.loads(json.dumps(doc))]
+    warm = [_json_copy(doc)]
     field = draw(st.sampled_from(_TOKEN_FIELDS))
     entries = doc[field]
     kind = draw(
         st.sampled_from(
             ["valid", "string", "reordered", "repeated", "scalar", "long_string",
-             "over_bound", "scalar_field", "missing", "extra", "tuple"]
+             "long_list", "scalar_field", "list_field", "missing", "extra", "tuple",
+             "reordered_keys"]
         )
     )
-    if kind == "string":  # a string the memoised list of its characters would match
+    if kind == "string":  # a string the kept list of its characters would equal
         text = draw(st.text(alphabet="abcdef", min_size=1, max_size=4))
         warm.append(dict(doc, **{field: list(text)}))
         doc[field] = text
@@ -244,62 +276,242 @@ def _near_miss_documents(draw) -> tuple[dict, list[dict]]:
     elif kind == "long_string":
         long_token = "a" * (MEMO_TEXT_LIMIT + draw(st.integers(1, 3)))
         doc[field] = entries + [long_token]
-    elif kind == "over_bound":
-        doc[field] = entries + [f"t{i}" for i in range(MEMO_DOCUMENT_TEXT_LIMIT // 2)]
+    elif kind == "long_list":
+        doc[field] = entries + [f"t{i}" for i in range(200)]
     elif kind == "scalar_field":
         doc[draw(st.sampled_from(["capability_id", "role", "domain"]))] = draw(_SCALARS)
+    elif kind == "list_field":  # a list where a string was
+        name = draw(st.sampled_from(["role", "domain"]))
+        doc[name] = [doc[name]]
     elif kind == "missing":
         del doc[field]
     elif kind == "extra":
         doc["extra"] = entries
     elif kind == "tuple":  # a tuple is not a JSON list, however equal its entries
         doc[field] = tuple(entries)
+    elif kind == "reordered_keys":
+        doc = _reversed_keys(doc)
     return doc, warm
 
 
-@settings(max_examples=400, deadline=None)
-@given(case=_near_miss_documents())
+@st.composite
+def _task_cases(draw) -> tuple[dict, list[dict]]:
+    doc = {
+        "task_id": draw(_CAPABILITY_IDS),
+        "intent": draw(_IDENTIFIERS),
+        "inputs": draw(st.lists(_IDENTIFIERS, max_size=3, unique=True)),
+        "outputs": draw(st.lists(_IDENTIFIERS, min_size=1, max_size=3, unique=True)),
+        "capabilities": draw(st.lists(_CAPABILITY_IDS, min_size=1, max_size=3, unique=True)),
+    }
+    warm = [_json_copy(doc)]
+    field = draw(st.sampled_from(["inputs", "outputs", "capabilities"]))
+    entries = doc[field]
+    kind = draw(
+        st.sampled_from(
+            ["valid", "reordered_keys", "list_field", "tuple", "reordered", "repeated",
+             "scalar", "extra", "missing", "empty"]
+        )
+    )
+    if kind == "reordered_keys":
+        doc = _reversed_keys(doc)
+    elif kind == "list_field":  # a list where a string was
+        name = draw(st.sampled_from(["task_id", "intent"]))
+        warm.append(dict(doc, **{name: list(doc[name])}))
+        doc[name] = [doc[name]]
+    elif kind == "tuple":
+        doc[field] = tuple(entries)
+    elif kind == "reordered" and len(entries) > 1:
+        doc[field] = entries[::-1]
+    elif kind == "repeated":
+        doc[field] = entries + [entries[0]] if entries else ["x.y", "x.y"]
+    elif kind == "scalar":
+        doc[field] = entries + [draw(_SCALARS)]
+    elif kind == "extra":
+        doc["extra"] = entries
+    elif kind == "missing":
+        del doc[field]
+    elif kind == "empty":
+        doc[field] = []
+    return doc, warm
+
+
+@st.composite
+def _snapshot_cases(draw) -> tuple[dict, list[dict]]:
+    servers = draw(st.lists(_IDENTIFIERS, min_size=1, max_size=3, unique=True))
+    bindings = {
+        server_id: draw(st.lists(_CAPABILITY_IDS, max_size=3, unique=True))
+        for server_id in servers
+    }
+    agent_ids = draw(st.lists(st.text("ABC", min_size=1, max_size=2), max_size=3, unique=True))
+    agents = {
+        agent_id: {
+            "agent_id": agent_id,
+            "role": draw(st.text(max_size=3)),
+            "domains": draw(st.lists(st.text(max_size=3), max_size=2)),
+            "accessible_servers": draw(st.lists(st.sampled_from(servers), unique=True)),
+        }
+        for agent_id in agent_ids
+    }
+    doc = {"origin": draw(st.text(max_size=4)), "agents": agents, "server_capabilities": bindings}
+    warm = [_json_copy(doc)]
+    kind = draw(
+        st.sampled_from(
+            ["valid", "reordered_keys", "extra_field", "derived_field", "reordered_binding",
+             "agent_key", "tuple", "list_field", "missing", "extra_agent_field",
+             "repeated_binding", "unknown_server", "bad_id"]
+        )
+    )
+    server_id = draw(st.sampled_from(servers))
+    binding = bindings[server_id]
+    if kind == "reordered_keys":
+        doc = _reversed_keys(doc)
+        doc["agents"] = _reversed_keys(agents)
+        doc["server_capabilities"] = _reversed_keys(bindings)
+    elif kind == "extra_field":  # ignored on load, so not compared
+        doc["extra"] = draw(_SCALARS)
+    elif kind == "derived_field":
+        doc["derived_executable_capabilities"] = {"Nobody": ["no.such"]}
+    elif kind == "reordered_binding" and len(binding) > 1:
+        bindings[server_id] = binding[::-1]
+    elif kind == "agent_key" and agents:
+        agent_id = draw(st.sampled_from(agent_ids))
+        agents[agent_id + "x"] = agents.pop(agent_id)
+    elif kind == "tuple":  # a tuple where a list was
+        bindings[server_id] = tuple(binding)
+    elif kind == "list_field":  # a list where a string was
+        warm.append(dict(doc, origin=list(doc["origin"])))
+        doc["origin"] = [doc["origin"]]
+    elif kind == "missing":
+        del doc[draw(st.sampled_from(["origin", "agents", "server_capabilities"]))]
+    elif kind == "extra_agent_field" and agents:
+        agents[draw(st.sampled_from(agent_ids))]["extra"] = 1
+    elif kind == "repeated_binding" and binding:
+        bindings[server_id] = binding + binding[:1]
+    elif kind == "unknown_server" and agents:
+        agents[draw(st.sampled_from(agent_ids))]["accessible_servers"] = ["nowhere"]
+    elif kind == "bad_id":
+        bindings[server_id] = binding + ["Not.an_id"]
+    return doc, warm
+
+
+_MEMO_CASES = st.one_of(
+    st.tuples(st.just((parse_capability, capabilities._parse_fields)), _capability_cases()),
+    st.tuples(st.just((parse_task, atdp._parse_fields)), _task_cases()),
+    st.tuples(st.just((load_snapshot, directory._load_fields)), _snapshot_cases()),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=_MEMO_CASES)
 def test_a_warm_memo_parses_as_the_unmemoised_parser_does(case):
-    doc, warm = case
+    (parse, unmemoised), (doc, warm) = case
     for document in warm:
         with contextlib.suppress(ValidationError):
-            parse_capability(document)
-    expected = _outcome(capabilities._parse_fields, doc)
-    assert _outcome(parse_capability, doc) == expected
-    assert _outcome(parse_capability, doc) == expected  # and again, once kept
+            parse(document)
+    expected = _outcome(unmemoised, doc)
+    assert _outcome(parse, doc) == expected
+    assert _outcome(parse, doc) == expected  # and again, once kept
+    if isinstance(expected, DirectorySnapshot):  # the persisted form, in its order too
+        assert save_snapshot(parse(doc)) == save_snapshot(expected)
+
+
+def test_a_caller_that_mutates_its_document_gets_the_change():
+    cap_doc = _capability_doc(0)
+    first = parse_capability(cap_doc)
+    assert parse_capability(cap_doc) is first  # a hit returns the kept value
+    cap_doc["inputs"].append("more")
+    assert parse_capability(cap_doc).inputs == ("req", "more")
+    cap_doc["inputs"].append("res")
+    with pytest.raises(InvariantViolation):
+        parse_capability(cap_doc)
+
+    task_doc = scenario.food_server_doc()["tasks"][0]
+    task = parse_task(task_doc)
+    task_doc["capabilities"].reverse()
+    assert parse_task(task_doc).capabilities == task.capabilities[::-1]
+
+    snapshot_doc = snapshot_to_json(scenario.scenario_directory())
+    snapshot = load_snapshot(snapshot_doc)
+    assert load_snapshot(snapshot_doc) is snapshot
+    snapshot_doc["agents"]["RestaurantAgent"]["domains"].append("drinks")
+    changed = load_snapshot(snapshot_doc)
+    assert changed.agents["RestaurantAgent"].domains == ("food", "drinks")
+    snapshot_doc["server_capabilities"]["mcp_food_server"].pop()
+    assert load_snapshot(snapshot_doc).server_capabilities["mcp_food_server"] == (
+        snapshot.server_capabilities["mcp_food_server"][:-1]
+    )
+
+
+def test_snapshot_to_json_returns_fresh_containers():
+    snapshot = scenario.scenario_directory()
+    saved = save_snapshot(snapshot)
+    first = snapshot_to_json(snapshot)
+    for section in ("agents", "server_capabilities", "derived_executable_capabilities"):
+        for value in first[section].values():
+            (value["domains"] if section == "agents" else value).append("changed.by_caller")
+        first[section]["added"] = []
+    executable_capabilities(snapshot, "RestaurantAgent").clear()
+    assert save_snapshot(snapshot) == saved
+    assert snapshot_to_json(snapshot) == json.loads(saved)
+    assert executable_capabilities(snapshot, "RestaurantAgent") == [
+        CapabilityId("restaurant", "reserve"), CapabilityId("restaurant", "search")
+    ]
 
 
 def test_the_document_memo_keeps_at_most_memo_size_valid_documents():
-    memo = capabilities._parse_memoised
-    memo.cache_clear()
+    DOCUMENT_MEMO.clear()
     for i in range(MEMO_SIZE + 500):
         assert parse_capability(_capability_doc(i)).capability_id == CapabilityId(f"memo{i}", "cap")
         with pytest.raises(InvariantViolation):  # a slot that is an input and an output
             parse_capability(_capability_doc(i, inputs=("res",)))
-    info = memo.cache_info()
-    assert info.maxsize == MEMO_SIZE
-    assert info.misses > MEMO_SIZE
-    assert info.currsize == MEMO_SIZE
-    memo.cache_clear()
+    assert len(DOCUMENT_MEMO) == MEMO_SIZE
+    assert DOCUMENT_MEMO.text <= MEMO_TEXT_BUDGET
+    # the least recently used went first; the latest are still kept
+    latest = parse_capability(_capability_doc(MEMO_SIZE + 499))
+    assert parse_capability(_capability_doc(MEMO_SIZE + 499)) is latest
+    DOCUMENT_MEMO.clear()
     for i in range(100):
         with pytest.raises(InvariantViolation):
             parse_capability(_capability_doc(i, inputs=("res",)))
-    assert memo.cache_info().currsize == 0  # an invalid document is never kept
+        with pytest.raises(MalformedDocument):
+            load_snapshot({"origin": f"o{i}", "agents": [], "server_capabilities": {}})
+    assert len(DOCUMENT_MEMO) == 0  # an invalid document is never kept
 
 
 def test_documents_over_the_text_bound_are_parsed_but_not_kept():
-    memo = capabilities._parse_memoised
-    memo.cache_clear()
-    many = [f"in{i}" for i in range(MEMO_DOCUMENT_TEXT_LIMIT // 3)]
-    for i in range(100):
-        doc = _capability_doc(i, inputs=many)
-        assert parse_capability(doc).inputs == tuple(many)
+    DOCUMENT_MEMO.clear()
+    small = parse_capability(_capability_doc(0))
+    kept = len(DOCUMENT_MEMO), DOCUMENT_MEMO.text
+    huge = "a" * MEMO_TEXT_BUDGET
+    for i in range(3):
+        doc = _capability_doc(i, inputs=[huge])
+        assert parse_capability(doc).inputs == (huge,)
         with pytest.raises(InvariantViolation):
-            parse_capability(dict(doc, outputs=many[:1]))
-    assert memo.cache_info().currsize == 0
-    fits = _capability_doc(0, inputs=many[: len(many) // 2])
-    parse_capability(fits)
-    assert memo.cache_info().currsize == 1
+            parse_capability(dict(doc, outputs=[huge]))
+    # nothing was kept, and nothing kept was dropped to make room
+    assert (len(DOCUMENT_MEMO), DOCUMENT_MEMO.text) == kept == (1, kept[1])
+    assert parse_capability(_capability_doc(0)) is small
+
+
+def test_the_memo_drops_the_least_recently_used_to_stay_within_its_budget():
+    docs = [_capability_doc(i) for i in range(4)]
+    charge = capabilities._text_length(docs[0])
+    assert all(capabilities._text_length(doc) == charge for doc in docs)
+    memo = DocumentMemo(size=MEMO_SIZE, budget=3 * charge)
+
+    def parse(doc):
+        return memo.parse(
+            "capability", doc["capability_id"], doc,
+            lambda: capabilities._parse_fields(doc), Capability.to_json,
+        )
+
+    kept = [parse(doc) for doc in docs[:3]]
+    assert parse(docs[0]) is kept[0]  # a hit; docs[1] is now the least recently used
+    parse(docs[3])
+    assert (len(memo), memo.text) == (3, 3 * charge)
+    assert parse(docs[0]) is kept[0] and parse(docs[2]) is kept[2]
+    assert parse(docs[1]) is not kept[1]  # dropped, so parsed afresh
+    assert parse(docs[1]) == kept[1]
 
 
 # -- CapabilityId's hash ---------------------------------------------------------
@@ -390,3 +602,94 @@ def test_each_caller_gets_its_own_list_of_structural_defects(scenario_context, s
     assert caught.value.violations == validate_graph(
         tampered, scenario_goal, scenario_context
     ).violations
+
+
+# -- one eligibility read and one precondition simulation per node and goal ----------
+
+
+def test_a_goal_resolves_each_node_once_and_simulates_its_order_once(
+    monkeypatch, scenario_context, scenario_goal
+):
+    resolved = _counting(monkeypatch, planner, "resolve_capability", lambda args, _: args[1])
+    simulated = _counting(
+        monkeypatch, planner, "_first_precondition_defect", lambda args, _: (id(args[1]), id(args[2]))
+    )
+    graph = plan(scenario_goal, scenario_context)
+    assert validate_graph(graph, scenario_goal, scenario_context).ok
+    trace = execute(graph, scenario_goal, scenario_context, build_invoker(scenario_context))
+    assert trace.outcome == OUTCOME_COMPLETED
+    assert resolved == Counter(node.capability_id for node in graph.nodes)
+    assert all(count == 1 for count in resolved.values())
+    assert list(simulated.values()) == [1]
+
+    # another goal, however equal, and a parsed or tampered graph are simulated afresh
+    equal_goal = planner.Goal(scenario_goal.intent, dict(scenario_goal.bindings))
+    assert validate_graph(graph, equal_goal, scenario_context).ok
+    parsed = planner.parse_graph(planner.canonical_serialize_graph(graph))
+    assert validate_graph(parsed, scenario_goal, scenario_context).ok
+    tampered = dataclasses.replace(graph, source_bindings=())
+    assert not validate_graph(tampered, scenario_goal, scenario_context).ok
+    assert sum(simulated.values()) == 4
+    assert resolved == Counter(node.capability_id for node in graph.nodes)
+
+
+# -- the memo under threads ---------------------------------------------------------
+
+
+def _in_threads(work, count: int = 8) -> list[BaseException]:
+    """Run ``work(i)`` in ``count`` threads with a short switch interval;
+    the exceptions they raised."""
+    errors: list[BaseException] = []
+
+    def run(i):
+        try:
+            work(i)
+        except BaseException as exc:  # reported to the test thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
+def test_concurrent_discovery_rounds_agree(food_client, directory_client):
+    inputs = set(scenario.SCENARIO_INPUTS)
+    expected = context_fingerprint(discover([food_client], directory_client, inputs))
+    DOCUMENT_MEMO.clear()
+    fingerprints: list[str] = []
+
+    def discover_rounds(_):
+        for _ in range(25):
+            ctx = discover([food_client], directory_client, inputs)
+            fingerprints.append(context_fingerprint(ctx))
+
+    assert _in_threads(discover_rounds) == []
+    assert fingerprints == [expected] * 200
+    assert DOCUMENT_MEMO.text == sum(text for _, _, text in DOCUMENT_MEMO._entries.values())
+
+
+def test_a_memo_shared_by_threads_keeps_its_bounds_and_its_values():
+    docs = [_capability_doc(i) for i in range(16)]
+    memo = DocumentMemo(size=4, budget=3 * capabilities._text_length(docs[0]))
+
+    def parse_in_turn(offset):
+        for k in range(300):
+            doc = docs[(k + offset) % len(docs)]
+            cap = memo.parse(
+                "capability", doc["capability_id"], doc,
+                lambda: capabilities._parse_fields(doc), Capability.to_json,
+            )
+            assert cap.capability_id.render() == doc["capability_id"]
+
+    assert _in_threads(parse_in_turn) == []
+    assert len(memo) <= 3
+    assert memo.text == sum(text for _, _, text in memo._entries.values()) <= memo.budget

@@ -15,9 +15,13 @@ import math
 from typing import Any
 
 
+# Built once: ``json.dumps`` with these arguments builds a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
 def canonical_bytes(obj: Any) -> bytes:
-    text = json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-    return text.encode("utf-8")
+    """Raises ValueError on NaN or an infinity, TypeError on a non-JSON type."""
+    return _ENCODER.encode(obj).encode("utf-8")
 
 
 def _finite_float(text: str) -> float:
@@ -52,4 +56,4 @@ def sha256_hex(data: bytes) -> str:
 
 def sorted_map(mapping: dict) -> dict:
     """Copy of ``mapping`` with keys in sorted order (for canonical output)."""
-    return {key: mapping[key] for key in sorted(mapping)}
+    return dict(sorted(mapping.items()))

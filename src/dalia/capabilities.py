@@ -74,8 +74,9 @@ class CapabilityId:
 
     Ordering is lexicographic on the rendered form (the field tuple order
     coincides with it because ``.`` sorts below every identifier character).
-    The hash is ``hash((namespace, name))``, as a dataclass would compute it,
-    but computed once per object and kept outside the fields.
+    The hash is ``hash((namespace, name))``, as a dataclass would compute it;
+    it and the rendered form are computed once per object and kept outside
+    the fields.
     """
 
     namespace: str
@@ -83,6 +84,7 @@ class CapabilityId:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.namespace, self.name)))
+        object.__setattr__(self, "_text", f"{self.namespace}.{self.name}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -98,7 +100,7 @@ class CapabilityId:
         return capability_id
 
     def render(self) -> str:
-        return f"{self.namespace}.{self.name}"
+        return self._text
 
     __str__ = render
 
@@ -129,9 +131,20 @@ def _parse_id_text(text: str) -> tuple[CapabilityId | None, tuple[str, ...]]:
     return (None if problems else CapabilityId(*segments)), problems
 
 
+def slot_known_fact(slot: str) -> str:
+    """Fact asserted once a slot carries a value (goal binding or node output)."""
+    return f"{slot}_known"
+
+
 @dataclass(frozen=True)
 class Capability:
-    """A declared executable operation."""
+    """A declared executable operation.
+
+    Its derived facts are computed once per object and kept outside the
+    fields: ``input_set`` and ``output_set``, its slots as frozensets, and
+    ``effects``, the facts that hold once it has run (its postconditions and
+    the known-fact of each output).
+    """
 
     capability_id: CapabilityId
     role: str
@@ -140,6 +153,12 @@ class Capability:
     outputs: tuple[str, ...]
     preconditions: tuple[str, ...] = ()
     postconditions: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "input_set", frozenset(self.inputs))
+        object.__setattr__(self, "output_set", frozenset(self.outputs))
+        effects = frozenset(self.postconditions).union(map(slot_known_fact, self.outputs))
+        object.__setattr__(self, "effects", effects)
 
     def to_json(self) -> dict:
         """JSON document in the canonical field order."""
@@ -348,7 +367,9 @@ def _parse_fields(data: dict) -> Capability:
     raise_aggregated(schema, invariant)
     assert capability_id is not None
     tokens = (tuple(lists[name]) for name in CAPABILITY_FIELDS[3:])
-    return Capability(capability_id, data["role"], data["domain"], *tokens)
+    cap = Capability(capability_id, data["role"], data["domain"], *tokens)
+    cap.__dict__["_checked"] = True  # see is_checked
+    return cap
 
 
 def _capability_invariants(
@@ -361,6 +382,13 @@ def _capability_invariants(
     if not outputs and not postconditions:
         problems.append("no observable effect: outputs and postconditions both empty")
     return problems
+
+
+def is_checked(cap: Capability) -> bool:
+    """True when ``parse_capability`` built ``cap``, so it has passed every
+    check ``validate_capability`` makes; a copy made by
+    ``dataclasses.replace`` is not marked."""
+    return cap.__dict__.get("_checked", False)
 
 
 def validate_capability(cap: Capability) -> ValidationReport:

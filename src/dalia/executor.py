@@ -27,7 +27,6 @@ from .planner import (
     TaskGraph,
     canonical_order,
     canonical_serialize_graph,
-    slot_known_fact,
     structural_violations,
 )
 
@@ -145,19 +144,18 @@ def _run_node(
     except DaliaError as exc:
         return inputs, {}, f"invocation failed: {exc}"
     # the response must carry exactly the declared outputs, none bound yet
-    missing = [slot for slot in cap.outputs if slot not in outputs]
-    if missing:
-        return inputs, {}, f"missing declared output slot(s): {', '.join(missing)}"
-    extra = sorted(set(outputs) - set(cap.outputs))
-    if extra:
+    if outputs.keys() != cap.output_set:
+        missing = [slot for slot in cap.outputs if slot not in outputs]
+        if missing:
+            return inputs, {}, f"missing declared output slot(s): {', '.join(missing)}"
+        extra = sorted(outputs.keys() - cap.output_set)
         return inputs, {}, f"undeclared output slot(s): {', '.join(extra)}"
     rebound = [slot for slot in cap.outputs if slot in bindings]
     if rebound:
         return inputs, {}, f"slot {rebound[0]!r} is already bound"
     outputs = dict(outputs)
     bindings.update(outputs)
-    facts.update(cap.postconditions)
-    facts.update(slot_known_fact(slot) for slot in cap.outputs)
+    facts |= cap.effects
     return inputs, outputs, None
 
 

@@ -23,7 +23,14 @@ from typing import Any
 
 from .atdp import TaskDeclaration
 from .canonical import canonical_bytes
-from .capabilities import Capability, CapabilityId, check_fields, load_document, parse_capability_id
+from .capabilities import (
+    Capability,
+    CapabilityId,
+    check_fields,
+    load_document,
+    parse_capability_id,
+    slot_known_fact,
+)
 from .directory import is_eligible, resolve_capability
 from .discovery import ExecutionContext
 from .errors import (
@@ -37,11 +44,6 @@ from .errors import (
     UnproducibleSlot,
     ValidationReport,
 )
-
-
-def slot_known_fact(slot: str) -> str:
-    """Fact asserted once a slot carries a value (goal binding or node output)."""
-    return f"{slot}_known"
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,8 @@ def synthesize_graph(task: TaskDeclaration, goal: Goal, ctx: ExecutionContext) -
         ctx.capability(cid) for cid in task.capabilities if cid in ctx.capabilities
     ]
     producer_of: dict[str, Capability] = {}  # the smallest id producing each slot
-    for cap in sorted(pool, key=lambda c: c.capability_id):
+    # rendered ids sort as the ids do (see CapabilityId), and compare in C
+    for cap in sorted(pool, key=lambda c: c.capability_id.render()):
         for slot in cap.outputs:
             producer_of.setdefault(slot, cap)
 
@@ -233,8 +236,7 @@ def _first_precondition_defect(
         for fact in cap.preconditions:
             if fact not in facts:
                 return PreconditionUnschedulable(fact, cid.render())
-        facts.update(cap.postconditions)
-        facts.update(slot_known_fact(slot) for slot in cap.outputs)
+        facts |= cap.effects
     return None
 
 
@@ -322,20 +324,15 @@ def _structural_defects(graph: TaskGraph, ctx: ExecutionContext) -> list[str]:
                 f"provider of {node.capability_id}"
             )
 
-    # slot sets of the declared capabilities, so that checking an edge does
-    # not scan a consumer's inputs, however many producers feed it
-    declared = {node.capability_id for node in graph.nodes} & ctx.capabilities.keys()
-    inputs_of = {cid: frozenset(ctx.capability(cid).inputs) for cid in declared}
-    outputs_of = {cid: frozenset(ctx.capability(cid).outputs) for cid in declared}
     for edge in graph.edges:
         if edge.from_node not in node_ids or edge.to_node not in node_ids:
             violations.append(f"edge references a missing node: {edge.to_json()}")
             continue
         producer = graph.node(edge.from_node).capability_id
         consumer = graph.node(edge.to_node).capability_id
-        if producer in outputs_of and edge.slot not in outputs_of[producer]:
+        if producer in ctx.capabilities and edge.slot not in ctx.capability(producer).output_set:
             violations.append(f"edge slot {edge.slot!r} is not an output of {producer}")
-        if consumer in inputs_of and edge.slot not in inputs_of[consumer]:
+        if consumer in ctx.capabilities and edge.slot not in ctx.capability(consumer).input_set:
             violations.append(f"edge slot {edge.slot!r} is not an input of {consumer}")
 
     source = set(graph.source_bindings)

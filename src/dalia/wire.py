@@ -30,6 +30,7 @@ from .canonical import canonical_bytes, sorted_map, strict_loads
 from .capabilities import (
     Capability,
     CapabilityId,
+    is_checked,
     is_identifier,
     load_document,
     parse_capability,
@@ -87,6 +88,11 @@ DISCOVERY_CLASS_METHODS = frozenset(
 # -- codec ---------------------------------------------------------------------
 
 
+_REQUEST_MEMBERS = frozenset({"jsonrpc", "id", "method", "params"})
+_RESULT_MEMBERS = frozenset({"jsonrpc", "id", "result"})
+_ERROR_MEMBERS = frozenset({"code", "message"})
+
+
 def make_request(request_id: int, method: str, params: dict) -> dict:
     """A request object; its keys are in the order they go on the wire."""
     return {"jsonrpc": JSONRPC_VERSION, "id": request_id, "method": method, "params": params}
@@ -107,9 +113,8 @@ def decode_request(obj: Any) -> tuple[int, str, dict]:
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ProtocolError("request params must be an object")
-    unknown = set(obj) - {"jsonrpc", "id", "method", "params"}
-    if unknown:
-        raise ProtocolError(f"unexpected request members: {sorted(unknown)}")
+    if not obj.keys() <= _REQUEST_MEMBERS:
+        raise ProtocolError(f"unexpected request members: {sorted(obj.keys() - _REQUEST_MEMBERS)}")
     return request_id, method, params
 
 
@@ -137,13 +142,12 @@ def response_result(obj: Any, request_id: int) -> Any:
             not isinstance(error, dict)
             or type(error.get("code")) is not int
             or not isinstance(error.get("message"), str)
-            or set(error) != {"code", "message"}
+            or error.keys() != _ERROR_MEMBERS
         ):
             raise ProtocolError("error member must be {code: int, message: str}")
         raise WireError(error["code"], error["message"])
-    unknown = set(obj) - {"jsonrpc", "id", "result"}
-    if unknown:
-        raise ProtocolError(f"unexpected response members: {sorted(unknown)}")
+    if not obj.keys() <= _RESULT_MEMBERS:
+        raise ProtocolError(f"unexpected response members: {sorted(obj.keys() - _RESULT_MEMBERS)}")
     if response_id != request_id:
         raise ProtocolError(
             f"response id {response_id!r} does not match request id {request_id}"
@@ -162,7 +166,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 def frame_block(obj: dict) -> bytes:
     """Length-prefixed message (TCP transport): decimal byte count, CRLF CRLF, body."""
     body = canonical_bytes(obj)
-    return str(len(body)).encode("ascii") + b"\r\n\r\n" + body
+    return b"%d\r\n\r\n%s" % (len(body), body)
 
 
 def read_block(reader: io.BufferedIOBase) -> dict | None:
@@ -171,18 +175,21 @@ def read_block(reader: io.BufferedIOBase) -> dict | None:
     The length must be unsigned ASCII decimal and at most MAX_FRAME_BYTES;
     any other header, a short body or a body that is not strict JSON raises
     ProtocolError.
+
+    The header is read a line at a time, never past 33 bytes: it can only
+    end at a newline, so no read takes a byte of the body.
     """
-    header = bytearray()
+    header = b""
     while not header.endswith(b"\r\n\r\n"):
-        byte = reader.read(1)
-        if not byte:
+        line = reader.readline(33 - len(header))
+        if not line:
             if header:
                 raise ProtocolError("connection closed mid-frame")
             return None
-        header += byte
+        header += line
         if len(header) > 32:
             raise ProtocolError("oversized frame header")
-    digits = bytes(header[:-4])
+    digits = header[:-4]
     if not digits.isdigit():  # bytes.isdigit accepts ASCII 0-9 only
         raise ProtocolError(f"bad frame length: {digits!r}")
     length = int(digits)
@@ -223,8 +230,9 @@ class ServerConfig:
     @cached_property
     def problems(self) -> list[str]:
         """Semantic defects, each once in first-seen order; empty when
-        startable. Computed once per config, so parsing and then serving it
-        checks each capability once; read-only."""
+        startable. Computed once per config; read-only. A capability that
+        ``parse_capability`` built has passed its checks and is not
+        validated again."""
         problems: list[str] = []
         if not is_identifier(self.server_id):
             problems.append(f"server_id is not a lowercase identifier: {self.server_id!r}")
@@ -232,6 +240,8 @@ class ServerConfig:
         if len(declared) != len(self.capabilities):
             problems.append("duplicate capability ids declared by this server")
         for cap in self.capabilities:
+            if is_checked(cap):
+                continue
             report = validate_capability(cap)
             problems += [f"capability {cap.capability_id}: {v}" for v in report.violations]
         for task in self.tasks:
@@ -519,11 +529,12 @@ class _TcpHandler(socketserver.StreamRequestHandler):
                 try:
                     obj = read_block(self.rfile)
                 except ProtocolError as exc:
-                    self.wfile.write(frame_block(_error_response(None, PARSE_ERROR, str(exc))))
+                    error = _error_response(None, PARSE_ERROR, str(exc))
+                    self.connection.sendall(frame_block(error))
                     return
                 if obj is None:
                     return
-                self.wfile.write(frame_block(dispatcher.handle(obj)))
+                self.connection.sendall(frame_block(dispatcher.handle(obj)))
         except OSError:
             return  # the client reset the connection, or shutdown() closed it
 

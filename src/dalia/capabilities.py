@@ -21,7 +21,6 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Sequence, TypeVar
 
 from .canonical import strict_loads
@@ -37,14 +36,12 @@ from .errors import (
 # and both segments of a capability id.
 IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
-# A memo below keeps at most MEMO_SIZE strings, each at most MEMO_TEXT_LIMIT
-# long (a longer one is checked afresh): a directory server reads ids from its
-# peers for as long as it runs, so no memo may grow with what it is sent. The
-# document memo keeps at most MEMO_SIZE documents, whose text (see
-# DocumentMemo) is at most MEMO_TEXT_BUDGET in all.
+# The document memo keeps at most MEMO_SIZE documents, whose text (see
+# DocumentMemo) is at most MEMO_TEXT_BUDGET characters in all: a directory
+# server reads documents from its peers for as long as it runs, so the memo
+# may not grow with what it is sent.
 MEMO_SIZE = 8192
-MEMO_TEXT_LIMIT = 128
-MEMO_TEXT_BUDGET = MEMO_SIZE * MEMO_TEXT_LIMIT
+MEMO_TEXT_BUDGET = 2**20
 
 CAPABILITY_FIELDS = (
     "capability_id",
@@ -58,14 +55,7 @@ CAPABILITY_FIELDS = (
 
 
 def is_identifier(value: Any) -> bool:
-    if isinstance(value, str) and len(value) <= MEMO_TEXT_LIMIT:
-        return _matches_identifier(value)
-    return isinstance(value, str) and _matches_identifier.__wrapped__(value)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _matches_identifier(text: str) -> bool:
-    return IDENTIFIER_RE.match(text) is not None
+    return isinstance(value, str) and IDENTIFIER_RE.match(value) is not None
 
 
 @dataclass(frozen=True, order=True)
@@ -109,25 +99,17 @@ def parse_capability_id(
     text: Any, label: str = "capability_id"
 ) -> tuple[CapabilityId | None, list[str]]:
     """``(id, [])`` for valid capability-id text, else ``(None, problems)``:
-    every rule the text violates, each prefixed by ``label``. The memo holds
-    label-free results, so all callers share one entry per distinct text."""
+    every rule the text violates, each prefixed by ``label``."""
     if not isinstance(text, str):
         return None, [f"{label} must be a string, got {type(text).__name__}"]
-    check = _parse_id_text if len(text) <= MEMO_TEXT_LIMIT else _parse_id_text.__wrapped__
-    capability_id, problems = check(text)
-    return capability_id, [f"{label} {problem}" for problem in problems] if problems else []
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _parse_id_text(text: str) -> tuple[CapabilityId | None, tuple[str, ...]]:
     segments = text.split(".")
     if len(segments) != 2:
-        return None, (f"must have exactly two dot-separated segments: {text!r}",)
-    problems = tuple(
-        f"{part} is not a lowercase identifier: {segment!r}"
+        return None, [f"{label} must have exactly two dot-separated segments: {text!r}"]
+    problems = [
+        f"{label} {part} is not a lowercase identifier: {segment!r}"
         for part, segment in zip(("namespace", "name"), segments)
         if not is_identifier(segment)
-    )
+    ]
     return (None if problems else CapabilityId(*segments)), problems
 
 

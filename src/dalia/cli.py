@@ -8,10 +8,8 @@ servers. Exit codes: 0 success, 1 usage or invalid configuration,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import io
 import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,13 +26,7 @@ from .errors import (
 )
 from .executor import OUTCOME_COMPLETED, canonical_serialize_trace, execute
 from .planner import Goal, canonical_serialize_graph, export_dot, plan, validate_graph
-from .wire import (
-    DirectoryService,
-    TcpServerHandle,
-    WireServer,
-    parse_server_config,
-    serve_stdio,
-)
+from .wire import DirectoryService, WireServer, parse_server_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -213,15 +205,19 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_server_serve(args, out) -> int:
+    from .serve import serve
+
     try:
         config = parse_server_config(Path(args.config).read_bytes())
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {args.config}: {exc}") from exc
-    _serve(WireServer(config), args.tcp, config.server_id)
+    serve(WireServer(config), args.tcp, config.server_id)
     return EXIT_OK
 
 
 def cmd_directory_serve(args, out) -> int:
+    from .serve import serve
+
     snapshot = empty_snapshot()
     if args.snapshot and Path(args.snapshot).exists():
         try:
@@ -230,27 +226,16 @@ def cmd_directory_serve(args, out) -> int:
             raise ConfigInvalid(f"cannot load snapshot {args.snapshot}: {exc}") from exc
     service = DirectoryService(snapshot)
     try:
-        _serve(service, args.tcp, "directory")
+        serve(service, args.tcp, "directory")
     finally:
+        failed = sys.exc_info()[1]  # why serving failed, reported before a failed save
         if args.snapshot:
-            Path(args.snapshot).write_bytes(save_snapshot(service.snapshot) + b"\n")
+            try:
+                Path(args.snapshot).write_bytes(save_snapshot(service.snapshot) + b"\n")
+            except OSError as exc:
+                if failed is None:
+                    raise ConfigInvalid(f"cannot save snapshot {args.snapshot}: {exc}") from exc
     return EXIT_OK
-
-
-def _serve(dispatcher, address: str | None, name: str) -> None:
-    """Serve on TCP at ``address`` until interrupted, or on stdio until EOF."""
-    if not address:
-        # A reader that closed its end of stdout ends the session, as EOF does.
-        with contextlib.suppress(KeyboardInterrupt, BrokenPipeError):
-            serve_stdio(dispatcher)
-        return
-    handle = TcpServerHandle(dispatcher, address)
-    print(f"serving {name} on {handle.address}", file=sys.stderr)
-    try:
-        with contextlib.suppress(KeyboardInterrupt):
-            threading.Event().wait()
-    finally:
-        handle.shutdown()
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

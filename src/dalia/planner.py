@@ -162,9 +162,9 @@ def synthesize_graph(task: TaskDeclaration, goal: Goal, ctx: ExecutionContext) -
     with the smallest capability id, instantiated at most once per graph.
     Agent and server assignment happen later (assign_agents).
     """
-    pool = [
-        ctx.capability(cid) for cid in task.capabilities if cid in ctx.capabilities
-    ]
+    # one lookup per id: a task's ids equal the context's keys but are other objects
+    found = map(ctx.capabilities.get, task.capabilities)
+    pool = [entry[0] for entry in found if entry is not None]
     producer_of: dict[str, Capability] = {}  # the smallest id producing each slot
     # rendered ids sort as the ids do (see CapabilityId), and compare in C
     for cap in sorted(pool, key=lambda c: c.capability_id.render()):

@@ -1,7 +1,8 @@
 """JSON-RPC 2.0 wire layer.
 
 Codec and framing, the capability/task server runtime, the directory
-service, stdio and TCP transports, and the clients the orchestrator uses.
+service, and the clients the orchestrator uses; ``dalia.serve`` hosts a
+server on stdio or TCP.
 
 Framing: newline-delimited JSON objects on stdio; on TCP each message is
 length-prefixed HTTP-style (decimal byte count, CRLF CRLF, body). A stdio
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 import io
 import socket
-import socketserver
-import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -380,7 +379,7 @@ class WireServer(_Dispatcher):
         self.config = config
         self._lock = threading.Lock()
         self._invocations: dict[CapabilityId, int] = {}
-        self._capabilities = {cap.capability_id: cap for cap in config.capabilities}
+        self._capabilities = {cap.capability_id.render(): cap for cap in config.capabilities}
         self._methods = {
             "dalia/server_info": self._server_info,
             "dalia/list_capabilities": self._list_capabilities,
@@ -399,12 +398,11 @@ class WireServer(_Dispatcher):
 
     def _invoke(self, params: dict) -> dict:
         raw_id = params.get("capability_id")
-        cid, problems = parse_capability_id(raw_id)
-        if problems:
-            raise WireError(UNKNOWN_CAPABILITY, f"unknown capability: {raw_id!r}")
-        cap = self._capabilities.get(cid)
-        if cap is None:
-            raise WireError(UNKNOWN_CAPABILITY, f"unknown capability: {cid}")
+        cap = self._capabilities.get(raw_id) if isinstance(raw_id, str) else None
+        if cap is None:  # the message shows an id that is not capability-id text as a repr
+            shown = raw_id if not parse_capability_id(raw_id)[1] else repr(raw_id)
+            raise WireError(UNKNOWN_CAPABILITY, f"unknown capability: {shown}")
+        cid = cap.capability_id
         inputs = params.get("inputs", {})
         if not isinstance(inputs, dict):
             raise WireError(INVALID_PARAMS, "inputs must be an object")
@@ -484,128 +482,7 @@ class DirectoryService(_Dispatcher):
         return snapshot_to_json(self._snapshot)
 
 
-# -- transports ------------------------------------------------------------------
-
-
-def serve_stdio(dispatcher: _Dispatcher, stdin=None, stdout=None) -> None:
-    """Answer newline-delimited requests until EOF. stdout carries protocol only.
-
-    ``stdin`` and ``stdout`` are binary streams, by default the process's
-    own: a line that is not UTF-8 gets a parse error, and responses go out
-    as UTF-8 whatever the locale. A line longer than MAX_FRAME_BYTES gets a
-    parse error; the rest of it is read in bounded pieces and discarded.
-    """
-    stdin = stdin if stdin is not None else sys.stdin.buffer
-    stdout = stdout if stdout is not None else sys.stdout.buffer
-    while line := stdin.readline(MAX_FRAME_BYTES + 1):
-        if len(line) > MAX_FRAME_BYTES and not line.endswith(b"\n"):
-            while line and not line.endswith(b"\n"):
-                line = stdin.readline(MAX_FRAME_BYTES + 1)
-            response = _error_response(None, PARSE_ERROR, f"line exceeds {MAX_FRAME_BYTES} bytes")
-        elif line.strip():
-            try:
-                obj = strict_loads(line)
-            except ValueError as exc:
-                response = _error_response(None, PARSE_ERROR, f"parse error: {exc}")
-            else:
-                response = dispatcher.handle(obj)
-        else:
-            continue
-        stdout.write(canonical_bytes(response) + b"\n")
-        stdout.flush()
-
-
-class _TcpHandler(socketserver.StreamRequestHandler):
-    """Answers frames on one connection until the client closes it.
-
-    After a frame it cannot read, it answers -32700 and closes the
-    connection, because the stream is no longer aligned on frames.
-    """
-
-    def handle(self) -> None:
-        dispatcher = self.server.dispatcher  # type: ignore[attr-defined]
-        try:
-            while True:
-                try:
-                    obj = read_block(self.rfile)
-                except ProtocolError as exc:
-                    error = _error_response(None, PARSE_ERROR, str(exc))
-                    self.connection.sendall(frame_block(error))
-                    return
-                if obj is None:
-                    return
-                self.connection.sendall(frame_block(dispatcher.handle(obj)))
-        except OSError:
-            return  # the client reset the connection, or shutdown() closed it
-
-
-class _ThreadingTcpServer(socketserver.ThreadingTCPServer):
-    """Tracks its open connections so shutdown can close them.
-
-    Handler threads are not daemons, so ``server_close()`` joins them.
-    """
-
-    allow_reuse_address = True
-
-    def __init__(self, address, handler):
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
-        super().__init__(address, handler)
-
-    def process_request(self, request, client_address) -> None:
-        with self._connections_lock:
-            self._connections.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request) -> None:
-        with self._connections_lock:
-            self._connections.discard(request)
-        super().shutdown_request(request)
-
-    def close_connections(self) -> None:
-        """Shut every open connection down, which ends its handler's read."""
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # the handler closed it meanwhile
-
-
-# How often serve_forever checks for a shutdown() request, which waits for
-# the next check: an idle server stops within this many seconds.
-SHUTDOWN_POLL_SECONDS = 0.05
-
-
-class TcpServerHandle:
-    """A running TCP wire server; ``shutdown()`` stops it."""
-
-    def __init__(self, dispatcher: _Dispatcher, address: str):
-        host, port = parse_tcp_address(address)
-        try:
-            self._server = _ThreadingTcpServer((host, port), _TcpHandler)
-        except OSError as exc:
-            raise BindFailure(address, str(exc)) from exc
-        self._server.dispatcher = dispatcher  # type: ignore[attr-defined]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, args=(SHUTDOWN_POLL_SECONDS,), daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def address(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
-
-    def shutdown(self) -> None:
-        """Stop accepting, shut down every accepted connection, and wait for
-        every handler to finish, so no request is still being applied when
-        this returns and a client holding a connection sees it closed."""
-        self._server.shutdown()
-        self._server.close_connections()
-        self._server.server_close()
-        self._thread.join(timeout=5)
+# -- clients ---------------------------------------------------------------------
 
 
 def parse_tcp_address(address: str) -> tuple[str, int]:
@@ -613,9 +490,6 @@ def parse_tcp_address(address: str) -> tuple[str, int]:
     if not host or not port_text.isdigit():
         raise BindFailure(address, "expected host:port")
     return host, int(port_text)
-
-
-# -- clients ---------------------------------------------------------------------
 
 
 # Seconds a TCP client waits to connect and then for each send or read; a

@@ -21,7 +21,8 @@ from dalia import wire
 from dalia.canonical import canonical_bytes
 from dalia.cli import main
 from dalia.directory import save_snapshot, snapshot_to_json
-from dalia.wire import TcpServerHandle, WireServer
+from dalia.serve import TcpServerHandle
+from dalia.wire import WireServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_INPUT_ARGS = ["location=city centre", "date=tomorrow", "party_size=4"]
@@ -337,6 +338,47 @@ def test_directory_serve_snapshot_round_trip(tmp_path):
     )
     assert proc.returncode == 0
     assert snapshot_path.read_bytes() == original
+
+
+def _directory_serve(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "dalia.cli", "directory", "serve", *args],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=30,
+        cwd=REPO_ROOT,
+    )
+
+
+def test_directory_serve_reports_a_snapshot_it_cannot_save(tmp_path):
+    path = tmp_path / "missing" / "directory.json"
+    proc = _directory_serve("--snapshot", str(path))
+    reason = f"[Errno 2] No such file or directory: {str(path)!r}"
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"invalid configuration: cannot save snapshot {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("where", ["missing/directory.json", "directory.json"])
+def test_directory_serve_bind_failure_exits_2_whether_or_not_the_snapshot_saves(tmp_path, where):
+    proc = _directory_serve("--snapshot", str(tmp_path / where), "--tcp", "not-an-address")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "BindFailure: cannot bind not-an-address: expected host:port\n"
+
+
+def test_run_loads_no_serving_code():
+    script = (
+        "import io, sys\n"
+        "from dalia import cli\n"
+        "argv = ['run', '--config', 'configs/orchestrator.json', '--intent', 'book_restaurant',\n"
+        f"        '--inputs', *{SCENARIO_INPUT_ARGS!r}]\n"
+        "assert cli.main(argv, out=io.StringIO()) == 0\n"
+        "print(sorted({'socketserver', 'dalia.serve'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30, cwd=REPO_ROOT
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_pipeline_over_tcp_endpoints(tmp_path):

@@ -21,12 +21,12 @@ from dalia.errors import (
 )
 from dalia.executor import execute
 from dalia.planner import Goal, plan, resolve_goal
+from dalia.serve import TcpServerHandle
 from dalia.wire import (
     DirectoryService,
     LocalClient,
     ServerConfig,
     TcpClient,
-    TcpServerHandle,
     WireServer,
     connect_server,
     parse_tcp_address,

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 import scenario
 from dalia import wire
 from dalia.canonical import canonical_bytes, strict_loads
-from dalia.capabilities import Capability, CapabilityId, slot_known_fact
-from dalia.errors import ConfigInvalid, ProtocolError
+from dalia.capabilities import Capability, CapabilityId, parse_capability_id, slot_known_fact
+from dalia.errors import ConfigInvalid, ProtocolError, WireError
 from dalia.executor import _run_node
 from dalia.planner import Node
-from dalia.wire import WireServer, parse_server_config, read_block
+from dalia.wire import WireServer, make_request, parse_server_config, read_block
 
 # -- framing: the header read by line against the byte loop ---------------------------
 
@@ -260,3 +260,88 @@ def test_a_hand_built_capability_in_a_parsed_config_is_still_refused(monkeypatch
         "capability restaurant.search: inputs entry is not a lowercase identifier: 'Not-A-Slot'"
     ]
     assert validated == Counter({search.capability_id: 1})
+
+
+# -- dispatch: the invoke lookup by rendered id against parse-then-lookup ------------------
+
+
+class ReferenceServer(WireServer):
+    """``WireServer`` with ``_invoke`` as it was: the id parsed, then looked
+    up among the declared ``CapabilityId``s."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self._by_id = {cap.capability_id: cap for cap in config.capabilities}
+        self._methods["dalia/invoke"] = self._reference_invoke
+
+    def _reference_invoke(self, params: dict) -> dict:
+        raw_id = params.get("capability_id")
+        cid, problems = parse_capability_id(raw_id)
+        if problems:
+            raise WireError(wire.UNKNOWN_CAPABILITY, f"unknown capability: {raw_id!r}")
+        cap = self._by_id.get(cid)
+        if cap is None:
+            raise WireError(wire.UNKNOWN_CAPABILITY, f"unknown capability: {cid}")
+        inputs = params.get("inputs", {})
+        if not isinstance(inputs, dict):
+            raise WireError(wire.INVALID_PARAMS, "inputs must be an object")
+        for slot in cap.inputs:
+            if slot not in inputs:
+                raise WireError(wire.MISSING_INPUT, f"missing input slot: {slot}")
+        with self._lock:
+            self._invocations[cid] = self._invocations.get(cid, 0) + 1
+            count = self._invocations[cid]
+        spec = self.config.handlers.get(cid)
+        if spec is not None and count in spec.fail_on:
+            raise WireError(
+                wire.HANDLER_FAULT, f"scripted fault on invocation {count} of {cid}"
+            )
+        if spec is not None and spec.script:
+            return dict(spec.script[min(count - 1, len(spec.script) - 1)])
+        return {slot: f"{slot} produced by {cid}" for slot in cap.outputs}
+
+
+_SEARCH = CapabilityId("restaurant", "search")
+_RESERVE = CapabilityId("restaurant", "reserve")
+_SLOTS = ("location", "date", "party_size", "restaurant_list")
+_SEGMENTS = st.text("abcrestaurnch_.A1", min_size=1, max_size=8)
+_INVOKE_IDS = st.one_of(
+    st.sampled_from([_SEARCH.render(), _RESERVE.render()]),  # declared
+    st.builds("{}.{}".format, _SEGMENTS, _SEGMENTS),  # undeclared or malformed
+    st.text(max_size=12),  # malformed
+    st.integers(129, 131).map(lambda n: "r" * n + ".search"),  # over 128 characters
+    st.integers(129, 131).map(lambda n: "restaurant." + "s" * n),
+    st.integers(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_INVOKE_INPUTS = st.one_of(
+    st.dictionaries(st.sampled_from(_SLOTS), st.just("v")),
+    st.just({slot: "v" for slot in _SLOTS}),
+    st.integers(),
+    st.lists(st.text(max_size=2), max_size=2),
+)
+
+
+@st.composite
+def _invoke_params(draw) -> dict:
+    params = {}
+    if draw(st.integers(0, 9)):  # one call in ten carries no id at all
+        params["capability_id"] = draw(_INVOKE_IDS)
+    if draw(st.booleans()):
+        params["inputs"] = draw(_INVOKE_INPUTS)
+    return params
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_invoke_params(), max_size=12))
+def test_invoke_answers_as_parse_then_lookup_did(calls):
+    config = scenario.food_server_config(
+        fail_on={_SEARCH: (2,), _RESERVE: (1, 3)},
+        scripts={_SEARCH: ({"restaurant_list": "first"}, {"restaurant_list": "later"})},
+    )
+    server, reference = WireServer(config), ReferenceServer(config)
+    for request_id, params in enumerate(calls, 1):
+        request = make_request(request_id, "dalia/invoke", params)
+        assert server.handle(request) == reference.handle(request)

@@ -27,6 +27,7 @@ from dalia.errors import (
     ProtocolError,
     WireError,
 )
+from dalia.serve import TcpServerHandle, _ThreadingTcpServer, serve_stdio
 from dalia.wire import (
     HANDLER_FAULT,
     METHOD_NOT_FOUND,
@@ -37,7 +38,6 @@ from dalia.wire import (
     LocalClient,
     ServerConfig,
     TcpClient,
-    TcpServerHandle,
     WireServer,
     connect_server,
     decode_request,
@@ -46,7 +46,6 @@ from dalia.wire import (
     parse_server_config,
     read_block,
     response_result,
-    serve_stdio,
 )
 
 
@@ -674,7 +673,7 @@ def _scripted_tcp_server(replies: list):
                     if reply is not None:
                         self.wfile.write(reply)
 
-    server = wire._ThreadingTcpServer(("127.0.0.1", 0), Handler)
+    server = _ThreadingTcpServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,))
     thread.start()
     try:

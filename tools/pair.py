@@ -17,10 +17,16 @@ processes and one ``directory serve --tcp`` process on free loopback ports,
 with that tree's ``src`` on ``PYTHONPATH`` and a scratch copy of the
 snapshot, and reaches them through that tree's ``TcpClient``s: three
 persistent connections per tree. Every way out of the tool sends each server
-SIGINT and kills one still running after 10 s.
+SIGINT and kills one still running after 10 s. ``--workload run_wide`` runs
+each goal as a fresh ``python -m dalia.cli run`` process over ``local:``
+config files, as ``bench/run.py`` does. Each tree runs from its own fresh
+temporary copy of ``src/dalia/*.py`` with ``PYTHONDONTWRITEBYTECODE=1``, so
+both sides compile from source and neither reads a ``__pycache__``; the time
+is the process's wall time.
 
 Every pair is checked: both plans validate, both traces complete, and the
-two sides' plan bytes and trace bytes are identical. A failed check exits 1.
+two sides' plan bytes and trace bytes are identical (``run_wide``: both
+processes exit 0 and print the same trace bytes). A failed check exits 1.
 
 ``--write-every K`` sends one directory write to both sides' directories
 before every K-th pair, so that the next goal discovers a changed snapshot:
@@ -32,6 +38,7 @@ are also reported on their own. Prints one JSON object:
     python3 tools/pair.py --parent ../parent --change . --goals 600 > pair.json
     python3 tools/pair.py --parent . --change . --goals 20   # smoke: src with itself
     python3 tools/pair.py --workload tcp_mixed --parent ../parent --change . --goals 1000
+    python3 tools/pair.py --workload run_wide --parent ../parent --change . --goals 40 --warmup 4
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import json
 import os
 import platform
 import select
+import shutil
 import signal
 import statistics
 import subprocess
@@ -183,6 +191,50 @@ def tcp_side(package, tree: Path, inp: gen.Inputs, stack: contextlib.ExitStack) 
     return side
 
 
+class ProcessSide:
+    """One tree's goals as fresh ``dalia run`` processes, from a copy of its
+    ``src/dalia/*.py`` in ``workdir`` that never gains bytecode."""
+
+    def __init__(self, tree: Path, inp: gen.Inputs, workdir: Path):
+        package = workdir / "dalia"
+        package.mkdir()
+        for source in (tree / "src" / "dalia").glob("*.py"):
+            shutil.copyfile(source, package / source.name)
+        for server_id, doc in inp.servers.items():
+            (workdir / f"{server_id}.json").write_text(json.dumps(doc))
+        (workdir / "directory.json").write_text(json.dumps(inp.snapshot))
+        self.config = workdir / "orchestrator.json"
+        self.config.write_text(
+            json.dumps(
+                {
+                    "servers": [f"local:{sid}.json" for sid in inp.servers],
+                    "directory": "local:directory.json",
+                }
+            )
+        )
+        self.workdir = workdir
+        self.env = dict(os.environ, PYTHONPATH=str(workdir), PYTHONDONTWRITEBYTECODE="1")
+
+    def goal(self, intent: str, bindings: dict) -> tuple[float, bytes, bytes]:
+        """(seconds, no plan bytes, trace bytes) of one ``dalia run`` process."""
+        inputs = [f"{slot}={value}" for slot, value in bindings.items()]
+        argv = ["run", "--config", str(self.config), "--intent", intent, "--inputs", *inputs]
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "dalia.cli", *argv],
+            cwd=self.workdir,
+            env=self.env,
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            timeout=120,
+        )
+        elapsed = time.perf_counter() - start
+        if done.returncode != 0:
+            stderr = done.stderr.decode(errors="replace").strip()
+            raise SystemExit(f"{intent}: dalia run exited {done.returncode}: {stderr}")
+        return elapsed, b"", done.stdout
+
+
 def directory_writes(workload: str, inp: gen.Inputs) -> list[tuple[str, dict]]:
     """The writes ``--write-every`` sends, in order (cycled when exhausted)."""
     if workload == "tcp_mixed":
@@ -265,7 +317,9 @@ def run_pairs(args, inp: gen.Inputs, sides: dict[str, Side]) -> dict | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=("plan_large", "tcp_mixed"), default="plan_large")
+    parser.add_argument(
+        "--workload", choices=("plan_large", "tcp_mixed", "run_wide"), default="plan_large"
+    )
     parser.add_argument("--parent", type=Path, required=True, help="a source tree (has src/dalia)")
     parser.add_argument("--change", type=Path, required=True, help="a source tree (has src/dalia)")
     parser.add_argument("--goals", type=int, default=600, help="timed goals per side")
@@ -277,6 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.goals < 4:
         parser.error("--goals must be at least 4")
+    if args.workload == "run_wide" and args.write_every:
+        parser.error("run_wide has no directory to write to")
     if args.write_every is None:
         args.write_every = 3 if args.workload == "tcp_mixed" else 0
 
@@ -289,6 +345,10 @@ def main(argv: list[str] | None = None) -> int:
     with contextlib.ExitStack() as stack:
         sides = {}
         for name, tree in trees.items():
+            if args.workload == "run_wide":
+                workdir = stack.enter_context(tempfile.TemporaryDirectory(prefix="pair-"))
+                sides[name] = ProcessSide(tree, inp, Path(workdir))
+                continue
             package = load_tree(tree, f"dalia_{name}")
             if args.workload == "tcp_mixed":
                 sides[name] = tcp_side(package, tree, inp, stack)
@@ -297,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
         result = run_pairs(args, inp, sides)
     if result is None:
         return 1
+    if args.workload == "run_wide":
+        result["bytecode"] = "none: both sides compile src/dalia/*.py from source in every process"
     print(json.dumps(result, indent=1))
     return 0
 

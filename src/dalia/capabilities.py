@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -37,9 +36,9 @@ from .errors import (
 IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 # The document memo keeps at most MEMO_SIZE documents, whose text (see
-# DocumentMemo) is at most MEMO_TEXT_BUDGET characters in all: a directory
-# server reads documents from its peers for as long as it runs, so the memo
-# may not grow with what it is sent.
+# DocumentMemo) is at most MEMO_TEXT_BUDGET characters in all: a long-running
+# orchestrator discovers its servers and directory again for every goal, and
+# what they send may change, so the memo may not grow with what it is sent.
 MEMO_SIZE = 8192
 MEMO_TEXT_BUDGET = 2**20
 
@@ -181,23 +180,24 @@ class DocumentMemo:
 
     ``parse`` returns the kept value when the document is ``==`` to the
     canonical document of the value kept under its kind and id: a hit is one
-    comparison, and returns the same immutable value. Every miss runs the
-    full parser, and only a value it returns is kept, with the canonical
-    document ``render`` builds from that value, never the caller's object;
-    so a caller that mutates its document and parses it again gets a result
-    that reflects the change. An id that is not a string is never kept.
+    read and one comparison, writes nothing, and returns the same immutable
+    value. Every miss runs the full parser, and only a value it returns is
+    kept, with the canonical document ``render`` builds from that value, never
+    the caller's object; so a caller that mutates its document and parses it
+    again gets a result that reflects the change. An id that is not a string
+    is never kept.
 
     The memo keeps at most ``size`` values, whose canonical documents hold at
     most ``budget`` characters in all (the lengths of their strings, dict keys
-    included); it drops the least recently used first, and never keeps a
-    document longer than the whole budget.
+    included); it drops the oldest kept first, and never keeps a document
+    longer than the whole budget.
     """
 
     def __init__(self, size: int = MEMO_SIZE, budget: int = MEMO_TEXT_BUDGET):
         self.size = size
         self.budget = budget
         self.text = 0  # characters kept
-        self._entries: OrderedDict[tuple[str, str], tuple[dict, Any, int]] = OrderedDict()
+        self._entries: dict[tuple[str, str], tuple[dict, Any, int]] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -215,38 +215,25 @@ class DocumentMemo:
         data: dict,
         parser: Callable[[], _T],
         render: Callable[[_T], dict],
-        fields: tuple[str, ...] | None = None,
     ) -> _T:
-        """The value for ``data``: kept under ``(kind, ident)``, or ``parser()``'s.
-
-        ``render`` builds a value's canonical document. With ``fields``, only
-        those fields of ``data`` and of that document are compared, but the
-        whole document is charged to the budget.
-        """
+        """The value for ``data``: kept under ``(kind, ident)``, or ``parser()``'s;
+        ``render`` builds a value's canonical document."""
         if type(ident) is not str:
             return parser()
-        view = data if fields is None else {name: data[name] for name in fields if name in data}
         key = kind, ident
         entry = self._entries.get(key)
-        if entry is not None:
-            try:  # each OrderedDict call is atomic; a writer may evict the key in between
-                self._entries.move_to_end(key)
-            except KeyError:
-                pass
-            if entry[0] == view:
-                return entry[1]
+        if entry is not None and entry[0] == data:
+            return entry[1]
         value = parser()
         document = render(value)
         text = _text_length(document)
-        if fields is not None:
-            document = {name: document[name] for name in fields}
         if text <= self.budget:
             with self._lock:
                 replaced = self._entries.pop(key, None)
                 self.text += text - (replaced[2] if replaced else 0)
                 self._entries[key] = document, value, text
                 while len(self._entries) > self.size or self.text > self.budget:
-                    self.text -= self._entries.popitem(last=False)[1][2]
+                    self.text -= self._entries.pop(next(iter(self._entries)))[2]
         return value
 
 

@@ -229,7 +229,7 @@ def cmd_directory_serve(args, out) -> int:
         serve(service, args.tcp, "directory")
     finally:
         failed = sys.exc_info()[1]  # why serving failed, reported before a failed save
-        if args.snapshot:
+        if args.snapshot and not isinstance(failed, BindFailure):  # else nothing was served
             try:
                 Path(args.snapshot).write_bytes(save_snapshot(service.snapshot) + b"\n")
             except OSError as exc:

@@ -62,12 +62,21 @@ class DirectorySnapshot:
     origin: str
 
     @cached_property
-    def _eligible_agents(self) -> dict[CapabilityId, list[str]]:
-        """Capability id -> eligible agent ids, in sorted agent order."""
-        index: dict[CapabilityId, list[str]] = {}
+    def _bound(self) -> dict[str, tuple[str, ...]]:
+        """Server id -> its bound ids rendered, keys sorted, built once per
+        value. Callers copy them."""
+        return {
+            server_id: tuple(map(CapabilityId.render, self.server_capabilities[server_id]))
+            for server_id in sorted(self.server_capabilities)
+        }
+
+    @cached_property
+    def _eligible_agents(self) -> dict[str, list[str]]:
+        """Rendered capability id -> eligible agent ids, in sorted agent order."""
+        index: dict[str, list[str]] = {}
         for agent_id in sorted(self.agents):
             for server_id in self.agents[agent_id].accessible_servers:
-                for cid in self.server_capabilities.get(server_id, ()):
+                for cid in self._bound.get(server_id, ()):
                     eligible = index.setdefault(cid, [])
                     # one agent at a time: a repeat via another server is the last entry
                     if not eligible or eligible[-1] != agent_id:
@@ -75,29 +84,15 @@ class DirectorySnapshot:
         return index
 
     @cached_property
-    def _persisted(self) -> tuple[dict, dict, dict]:
-        """The id lists of the persisted form, keys sorted, rendered once per
-        value: (server id -> its bound ids rendered, agent id -> the ids it
-        can execute, sorted and deduplicated, agent id -> those rendered).
-        Callers copy them."""
-        text = {cid: cid.render() for cids in self.server_capabilities.values() for cid in cids}
-        bound = {
-            server_id: tuple(map(text.__getitem__, self.server_capabilities[server_id]))
-            for server_id in sorted(self.server_capabilities)
-        }
+    def _executable(self) -> dict[str, tuple[str, ...]]:
+        """The derived view, agent id -> the rendered ids it can execute,
+        sorted and deduplicated, keys sorted: built once per value by the
+        first ``snapshot_to_json``, never by a load. Callers copy them."""
         executable = {}
-        for agent_id in sorted(self.agents):
-            union = {
-                cid
-                for server_id in self.agents[agent_id].accessible_servers
-                for cid in self.server_capabilities.get(server_id, ())
-            }
-            # the ids' order (see CapabilityId), compared in C
-            executable[agent_id] = tuple(sorted(union, key=text.__getitem__))
-        rendered = {
-            agent_id: tuple(map(text.__getitem__, cids)) for agent_id, cids in executable.items()
-        }
-        return bound, executable, rendered
+        for agent_id, record in sorted(self.agents.items()):
+            servers = (self._bound.get(server_id, ()) for server_id in record.accessible_servers)
+            executable[agent_id] = tuple(sorted(set().union(*servers)))
+        return executable
 
 
 def empty_snapshot(origin: str = "directory") -> DirectorySnapshot:
@@ -207,7 +202,9 @@ def executable_capabilities(snapshot: DirectorySnapshot, agent_id: str) -> list[
     """Derived view: what ``agent_id`` can execute, sorted, deduplicated."""
     if agent_id not in snapshot.agents:
         raise UnknownAgent(agent_id)
-    return list(snapshot._persisted[1][agent_id])
+    servers = snapshot.agents[agent_id].accessible_servers
+    union = {cid for server_id in servers for cid in snapshot.server_capabilities.get(server_id, ())}
+    return sorted(union, key=CapabilityId.render)  # the ids' order (see CapabilityId)
 
 
 def resolve_capability(snapshot: DirectorySnapshot, capability_id: CapabilityId) -> list[str]:
@@ -216,13 +213,13 @@ def resolve_capability(snapshot: DirectorySnapshot, capability_id: CapabilityId)
     Read from an index derived per snapshot on first use; like the derived
     executable view it is never persisted or compared (not a dataclass field).
     """
-    return list(snapshot._eligible_agents.get(capability_id, ()))
+    return list(snapshot._eligible_agents.get(capability_id.render(), ()))
 
 
 def is_eligible(snapshot: DirectorySnapshot, agent_id: str, capability_id: CapabilityId) -> bool:
     """Whether ``agent_id`` is among ``resolve_capability``'s agents, read
     from the same index without copying it."""
-    return agent_id in snapshot._eligible_agents.get(capability_id, ())
+    return agent_id in snapshot._eligible_agents.get(capability_id.render(), ())
 
 
 def merge(snapshots: list[DirectorySnapshot]) -> DirectorySnapshot:
@@ -254,25 +251,31 @@ def merge(snapshots: list[DirectorySnapshot]) -> DirectorySnapshot:
     )
 
 
-def snapshot_to_json(snapshot: DirectorySnapshot) -> dict:
-    """Canonical persisted form: maps sorted by key, plus the derived view.
-
-    ``derived_executable_capabilities`` is recomputable and ignored on load;
-    it is emitted for human inspection only. Every call builds fresh
-    containers.
-    """
-    bound, _, executable = snapshot._persisted
+def _stored_form(snapshot: DirectorySnapshot) -> dict:
+    """The fields ``load_snapshot`` reads (``SNAPSHOT_FIELDS``), maps sorted
+    by key. Every call builds fresh containers."""
     return {
         "origin": snapshot.origin,
         "agents": {
             agent_id: snapshot.agents[agent_id].to_json()
             for agent_id in sorted(snapshot.agents)
         },
-        "server_capabilities": {server_id: list(ids) for server_id, ids in bound.items()},
-        "derived_executable_capabilities": {
-            agent_id: list(ids) for agent_id, ids in executable.items()
-        },
+        "server_capabilities": {server_id: list(ids) for server_id, ids in snapshot._bound.items()},
     }
+
+
+def snapshot_to_json(snapshot: DirectorySnapshot) -> dict:
+    """Canonical persisted form: the stored fields plus the derived view.
+
+    ``derived_executable_capabilities`` (agent id -> the ids it can execute,
+    sorted and deduplicated) is recomputable and ignored on load; it is
+    emitted for human inspection only. Every call builds fresh containers.
+    """
+    document = _stored_form(snapshot)
+    document["derived_executable_capabilities"] = {
+        agent_id: list(ids) for agent_id, ids in snapshot._executable.items()
+    }
+    return document
 
 
 def save_snapshot(snapshot: DirectorySnapshot) -> bytes:
@@ -282,18 +285,14 @@ def save_snapshot(snapshot: DirectorySnapshot) -> bytes:
 def load_snapshot(data: Any) -> DirectorySnapshot:
     """Inverse of save_snapshot; every load problem raises MalformedDocument.
 
-    Valid snapshots are kept in ``DOCUMENT_MEMO`` by origin; only the fields
-    read here (``SNAPSHOT_FIELDS``) are compared, and the whole persisted
-    form, with its derived view, is charged to the memo's budget.
+    Only the fields read here (``SNAPSHOT_FIELDS``) count: valid snapshots
+    are kept in ``DOCUMENT_MEMO`` by origin with those fields, in their
+    stored form, and a document's other fields are never compared.
     """
     data = load_document(data, "snapshot")
+    stored = {name: data[name] for name in SNAPSHOT_FIELDS if name in data}
     return DOCUMENT_MEMO.parse(
-        "snapshot",
-        data.get("origin"),
-        data,
-        lambda: _load_fields(data),
-        snapshot_to_json,
-        SNAPSHOT_FIELDS,
+        "snapshot", data.get("origin"), stored, lambda: _load_fields(stored), _stored_form
     )
 
 

@@ -93,6 +93,9 @@ class TaskGraph:
     edges: tuple[Edge, ...]
     source_bindings: tuple[str, ...]
 
+    def __reduce__(self):  # a copy leaves out the checks stashed with their context
+        return TaskGraph, (self.task_id, self.nodes, self.edges, self.source_bindings)
+
     def to_json(self) -> dict:
         return {
             "task_id": self.task_id.render(),

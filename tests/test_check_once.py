@@ -432,6 +432,26 @@ def test_a_caller_that_mutates_its_document_gets_the_change():
     )
 
 
+def test_a_snapshot_hits_the_memo_with_or_without_its_derived_view(monkeypatch):
+    saved = snapshot_to_json(scenario.scenario_directory())
+    without = {name: saved[name] for name in directory.SNAPSHOT_FIELDS}  # as the benchmarks send
+    stale = dict(saved, derived_executable_capabilities={"Nobody": ["no.such"]})
+
+    def unbuilt(snapshot):
+        raise AssertionError("a load built the derived view")
+
+    monkeypatch.setattr(directory, "snapshot_to_json", unbuilt)
+    for document in (without, stale):
+        DOCUMENT_MEMO.clear()
+        kept = load_snapshot(document)  # a miss keeps and charges the stored fields only
+        [(stored, _, charge)] = DOCUMENT_MEMO._entries.values()
+        assert stored == without
+        assert charge == DOCUMENT_MEMO.text == capabilities._text_length(without)
+        assert load_snapshot(document) is kept
+        assert load_snapshot(without) is kept and load_snapshot(stale) is kept
+        assert "_executable" not in vars(kept)
+
+
 def test_snapshot_to_json_returns_fresh_containers():
     snapshot = scenario.scenario_directory()
     saved = save_snapshot(snapshot)
@@ -456,7 +476,7 @@ def test_the_document_memo_keeps_at_most_memo_size_valid_documents():
             parse_capability(_capability_doc(i, inputs=("res",)))
     assert len(DOCUMENT_MEMO) == MEMO_SIZE
     assert DOCUMENT_MEMO.text <= MEMO_TEXT_BUDGET
-    # the least recently used went first; the latest are still kept
+    # the oldest kept went first; the latest are still kept
     latest = parse_capability(_capability_doc(MEMO_SIZE + 499))
     assert parse_capability(_capability_doc(MEMO_SIZE + 499)) is latest
     DOCUMENT_MEMO.clear()
@@ -483,7 +503,7 @@ def test_documents_over_the_text_bound_are_parsed_but_not_kept():
     assert parse_capability(_capability_doc(0)) is small
 
 
-def test_the_memo_drops_the_least_recently_used_to_stay_within_its_budget():
+def test_the_memo_drops_the_oldest_kept_to_stay_within_its_budget():
     docs = [_capability_doc(i) for i in range(4)]
     charge = capabilities._text_length(docs[0])
     assert all(capabilities._text_length(doc) == charge for doc in docs)
@@ -496,12 +516,12 @@ def test_the_memo_drops_the_least_recently_used_to_stay_within_its_budget():
         )
 
     kept = [parse(doc) for doc in docs[:3]]
-    assert parse(docs[0]) is kept[0]  # a hit; docs[1] is now the least recently used
+    assert parse(docs[0]) is kept[0]  # a hit, which leaves docs[0] the oldest kept
     parse(docs[3])
     assert (len(memo), memo.text) == (3, 3 * charge)
-    assert parse(docs[0]) is kept[0] and parse(docs[2]) is kept[2]
-    assert parse(docs[1]) is not kept[1]  # dropped, so parsed afresh
-    assert parse(docs[1]) == kept[1]
+    assert parse(docs[1]) is kept[1] and parse(docs[2]) is kept[2]
+    assert parse(docs[0]) is not kept[0]  # dropped, so parsed afresh
+    assert parse(docs[0]) == kept[0]
 
 
 # -- CapabilityId's hash ---------------------------------------------------------

@@ -359,11 +359,17 @@ def test_directory_serve_reports_a_snapshot_it_cannot_save(tmp_path):
     assert proc.stderr == f"invalid configuration: cannot save snapshot {path}: {reason}\n"
 
 
-@pytest.mark.parametrize("where", ["missing/directory.json", "directory.json"])
+@pytest.mark.parametrize("where", ["missing/directory.json", "directory.json", "kept.json"])
 def test_directory_serve_bind_failure_exits_2_whether_or_not_the_snapshot_saves(tmp_path, where):
-    proc = _directory_serve("--snapshot", str(tmp_path / where), "--tcp", "not-an-address")
+    path = tmp_path / where
+    if where == "kept.json":  # hand-formatted, so a save would change its bytes
+        path.write_text(json.dumps(snapshot_to_json(scenario.scenario_directory()), indent=2))
+    before = path.read_bytes() if path.exists() else None
+    proc = _directory_serve("--snapshot", str(path), "--tcp", "not-an-address")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "BindFailure: cannot bind not-an-address: expected host:port\n"
+    # nothing was served, so nothing was saved
+    assert (path.read_bytes() if path.exists() else None) == before
 
 
 def test_run_loads_no_serving_code():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 from random import Random
 
 import pytest
@@ -213,6 +215,25 @@ def test_execute_reproducibility(scenario_context, scenario_goal):
     _, second = _scenario_run(scenario_context, scenario_goal)
     assert first == second
     assert canonical_serialize_trace(first) == canonical_serialize_trace(second)
+
+
+@pytest.mark.parametrize(
+    "copy_graph", [copy.deepcopy, lambda graph: pickle.loads(pickle.dumps(graph))],
+    ids=["deepcopy", "pickle"],
+)
+def test_a_planned_graph_copies_and_runs_as_the_original(
+    scenario_context, scenario_goal, copy_graph
+):
+    graph, trace = _scenario_run(scenario_context, scenario_goal)
+    planned = copy_graph(graph)  # with the planner's simulation stashed
+    assert validate_graph(graph, scenario_goal, scenario_context).ok
+    validated = copy_graph(graph)  # with the structural check stashed too
+    for copied in (planned, validated):
+        assert copied == graph and copied is not graph
+        assert canonical_serialize_graph(copied) == canonical_serialize_graph(graph)
+        assert validate_graph(copied, scenario_goal, scenario_context).ok
+        again = execute(copied, scenario_goal, scenario_context, build_invoker(scenario_context))
+        assert canonical_serialize_trace(again) == canonical_serialize_trace(trace)
 
 
 def _faulty_context(fail_on=None, scripts=None):

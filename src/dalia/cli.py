@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,6 +96,10 @@ def parse_inputs(pairs: list[str]) -> dict[str, str]:
             raise UsageError(f"not a valid slot name: {slot!r}")
         if slot in bindings:
             raise UsageError(f"duplicate input slot {slot!r}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:  # a byte that is not UTF-8 reaches argv as a surrogate
+            raise UsageError(f"input {slot!r} is not UTF-8 text: {value!r}") from None
         bindings[slot] = value
     return bindings
 
@@ -184,23 +190,46 @@ def cmd_plan(args, out) -> int:
     return EXIT_OK
 
 
+def _open_trace(path: str):
+    """(handle, created): ``path`` opened for appending, so an unwritable path
+    is refused before anything runs and an existing file keeps its bytes until
+    the trace is written."""
+    try:
+        try:
+            return open(path, "xb"), True
+        except FileExistsError:
+            return open(path, "ab"), False
+    except OSError as exc:
+        raise UsageError(f"cannot write trace {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_run(args, out) -> int:
     config = load_orchestrator_config(args.config)
     goal = _goal(args)
-    ctx = discover(config.servers, config.directory, set(goal.bindings))
+    sink, created = _open_trace(args.trace) if args.trace else (None, False)
     try:
-        graph = plan(goal, ctx)
-        report = validate_graph(graph, goal, ctx)
-        if not report.ok:
-            raise PlanningError("; ".join(report.violations))
-        trace = execute(graph, goal, ctx, build_invoker(ctx))
+        ctx = discover(config.servers, config.directory, set(goal.bindings))
+        try:
+            graph = plan(goal, ctx)
+            report = validate_graph(graph, goal, ctx)
+            if not report.ok:
+                raise PlanningError("; ".join(report.violations))
+            trace = execute(graph, goal, ctx, build_invoker(ctx))
+        finally:
+            _close_routes(ctx)
+        payload = canonical_serialize_trace(trace)
+        if sink is None:
+            out.write(payload.decode("utf-8") + "\n")
+        else:
+            if stat.S_ISREG(os.fstat(sink.fileno()).st_mode):  # not, say, /dev/null
+                sink.truncate(0)
+            sink.write(payload + b"\n")
+            created = False  # written: kept
     finally:
-        _close_routes(ctx)
-    payload = canonical_serialize_trace(trace)
-    if args.trace:
-        Path(args.trace).write_bytes(payload + b"\n")
-    else:
-        out.write(payload.decode("utf-8") + "\n")
+        if sink is not None:
+            sink.close()
+            if created:  # the run stopped before writing: leave no file behind
+                os.unlink(args.trace)
     return EXIT_OK if trace.outcome == OUTCOME_COMPLETED else EXIT_EXECUTION
 
 

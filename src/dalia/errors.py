@@ -36,6 +36,20 @@ def _init_violations(self: DaliaError, violations: list[str] | str) -> None:
     Exception.__init__(self, "; ".join(self.violations))
 
 
+class _Worded(DaliaError):
+    """Keeps its constructor's values (a list as a fresh copy) as ``args`` and as
+    the attributes its ``fields`` name, and fills its ``template`` from them for
+    ``str()``. ``BaseException``'s reduce rebuilds it, so it survives copy and pickle."""
+
+    def __init__(self, *values):
+        values = tuple(list(v) if isinstance(v, list) else v for v in values)
+        super().__init__(*values)
+        self.__dict__.update(zip(self.fields, values))
+
+    def __str__(self) -> str:
+        return self.template.format_map(vars(self))
+
+
 class ValidationError(DaliaError):
     """A document or value violated one or more rules.
 
@@ -68,20 +82,18 @@ class InvalidRecord(DirectoryError):
     __init__ = _init_violations
 
 
-class UnknownAgent(DirectoryError):
-    def __init__(self, agent_id: str):
-        self.agent_id = agent_id
-        super().__init__(f"agent not registered: {agent_id!r}")
+class UnknownAgent(_Worded, DirectoryError):
+    fields = ("agent_id",)
+    template = "agent not registered: {agent_id!r}"
 
 
 class InvalidCapabilityId(DirectoryError):
     pass
 
 
-class InvalidServerId(DirectoryError):
-    def __init__(self, server_id: object):
-        self.server_id = server_id
-        super().__init__(f"not a valid server id: {server_id!r}")
+class InvalidServerId(_Worded, DirectoryError):
+    fields = ("server_id",)
+    template = "not a valid server id: {server_id!r}"
 
 
 # -- discovery ----------------------------------------------------------------
@@ -91,24 +103,17 @@ class DiscoveryError(DaliaError):
     pass
 
 
-class EndpointUnreachable(DiscoveryError):
-    def __init__(self, endpoint: str, reason: str = ""):
-        self.endpoint = endpoint
-        detail = f"endpoint unreachable: {endpoint}"
-        if reason:
-            detail += f" ({reason})"
-        super().__init__(detail)
+class EndpointUnreachable(_Worded, DiscoveryError):
+    fields = ("endpoint", "reason")
+    reason = ""  # an empty reason is left out of the message
+
+    def __str__(self) -> str:
+        return f"endpoint unreachable: {self.endpoint}" + (f" ({self.reason})" if self.reason else "")
 
 
-class DuplicateCapabilityId(DiscoveryError):
-    def __init__(self, capability_id: str, server_a: str, server_b: str):
-        self.capability_id = capability_id
-        self.server_a = server_a
-        self.server_b = server_b
-        super().__init__(
-            f"capability {capability_id} declared by two servers: "
-            f"{server_a} and {server_b}"
-        )
+class DuplicateCapabilityId(_Worded, DiscoveryError):
+    fields = ("capability_id", "server_a", "server_b")
+    template = "capability {capability_id} declared by two servers: {server_a} and {server_b}"
 
 
 class ProtocolError(DiscoveryError):
@@ -122,54 +127,39 @@ class PlanningError(DaliaError):
     pass
 
 
-class NoSuchTask(PlanningError):
-    def __init__(self, intent: str):
-        self.intent = intent
-        super().__init__(f"no declared task matches intent {intent!r}")
+class NoSuchTask(_Worded, PlanningError):
+    fields = ("intent",)
+    template = "no declared task matches intent {intent!r}"
 
 
-class AmbiguousIntent(PlanningError):
-    def __init__(self, intent: str, task_ids: list[str]):
-        self.intent = intent
-        self.task_ids = list(task_ids)
-        super().__init__(
-            f"intent {intent!r} declared by more than one task: "
-            + ", ".join(self.task_ids)
-        )
+class AmbiguousIntent(_Worded, PlanningError):
+    fields = ("intent", "task_ids")
+
+    def __str__(self) -> str:
+        return f"intent {self.intent!r} declared by more than one task: {', '.join(self.task_ids)}"
 
 
-class UnproducibleSlot(PlanningError):
-    def __init__(self, slot: str):
-        self.slot = slot
-        super().__init__(
-            f"slot {slot!r} has no producer in the task's capability pool "
-            "and is not bound by the goal"
-        )
+class UnproducibleSlot(_Worded, PlanningError):
+    fields = ("slot",)
+    template = ("slot {slot!r} has no producer in the task's capability pool "
+                "and is not bound by the goal")
 
 
-class CycleDetected(PlanningError):
-    def __init__(self, capability_ids: list[str]):
-        self.capability_ids = list(capability_ids)
-        super().__init__(
-            "mutual data dependence among capabilities: "
-            + ", ".join(self.capability_ids)
-        )
+class CycleDetected(_Worded, PlanningError):
+    fields = ("capability_ids",)
+
+    def __str__(self) -> str:
+        return "mutual data dependence among capabilities: " + ", ".join(self.capability_ids)
 
 
-class PreconditionUnschedulable(PlanningError):
-    def __init__(self, fact: str, capability_id: str):
-        self.fact = fact
-        self.capability_id = capability_id
-        super().__init__(
-            f"precondition {fact!r} of {capability_id} is never asserted "
-            "before its node runs"
-        )
+class PreconditionUnschedulable(_Worded, PlanningError):
+    fields = ("fact", "capability_id")
+    template = "precondition {fact!r} of {capability_id} is never asserted before its node runs"
 
 
-class NoEligibleAgent(PlanningError):
-    def __init__(self, capability_id: str):
-        self.capability_id = capability_id
-        super().__init__(f"no agent can execute {capability_id}")
+class NoEligibleAgent(_Worded, PlanningError):
+    fields = ("capability_id",)
+    template = "no agent can execute {capability_id}"
 
 
 # -- execution ----------------------------------------------------------------
@@ -184,20 +174,17 @@ class InvalidGraph(DaliaError):
 # -- wire ---------------------------------------------------------------------
 
 
-class WireError(DaliaError):
+class WireError(_Worded):
     """An error response received over the wire."""
 
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
-        super().__init__(f"wire error {code}: {message}")
+    fields = ("code", "message")
+    template = "wire error {code}: {message}"
 
 
 class ConfigInvalid(DaliaError):
     __init__ = _init_violations
 
 
-class BindFailure(DaliaError):
-    def __init__(self, address: str, reason: str):
-        self.address = address
-        super().__init__(f"cannot bind {address}: {reason}")
+class BindFailure(_Worded):
+    fields = ("address", "reason")
+    template = "cannot bind {address}: {reason}"

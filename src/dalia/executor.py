@@ -174,6 +174,7 @@ def replay_check(trace: ExecutionTrace, graph: TaskGraph) -> ValidationReport:
         report.add("step order does not equal the canonical topological order")
 
     _check_status_shape(trace, report)
+    _check_nodes(trace, graph, report)
     _check_write_once(trace, graph, report)
     _check_data_flow(trace, graph, report)
     return report
@@ -199,6 +200,25 @@ def _check_status_shape(trace: ExecutionTrace, report: ValidationReport) -> None
     for step in trace.steps:
         if step.status == STATUS_SKIPPED and (step.inputs_used or step.outputs_received):
             report.add(f"skipped step {step.node_id} carries inputs or outputs")
+
+
+def _check_nodes(trace: ExecutionTrace, graph: TaskGraph, report: ValidationReport) -> None:
+    """Every step names its node's capability and agent."""
+    for step in trace.steps:
+        try:
+            node = graph.node(step.node_id)
+        except KeyError:
+            continue  # the step order check has named it
+        if step.capability_id != node.capability_id:
+            report.add(
+                f"step {step.node_id} names capability {step.capability_id.render()}, "
+                f"not its node's {node.capability_id.render()}"
+            )
+        if step.agent_id != node.agent_id:
+            report.add(
+                f"step {step.node_id} names agent {step.agent_id!r}, "
+                f"not its node's {node.agent_id!r}"
+            )
 
 
 def _check_write_once(
@@ -233,16 +253,24 @@ def _check_data_flow(
     trace: ExecutionTrace, graph: TaskGraph, report: ValidationReport
 ) -> None:
     """Every input of a succeeded step came from its unique producer edge or
-    from a source binding."""
+    from a source binding, and every slot an edge feeds it is among its inputs."""
     outputs_by_node = {step.node_id: step.outputs_received for step in trace.steps}
     edges_in: dict[tuple[int, str], list[int]] = {}
+    fed_slots: dict[int, list[str]] = {}
     for edge in graph.edges:
         edges_in.setdefault((edge.to_node, edge.slot), []).append(edge.from_node)
+    for to_node, slot in edges_in:
+        fed_slots.setdefault(to_node, []).append(slot)
     source = set(graph.source_bindings)
 
     for step in trace.steps:
         if step.status != STATUS_SUCCEEDED:
             continue
+        for slot in fed_slots.get(step.node_id, ()):
+            if slot not in step.inputs_used:
+                report.add(
+                    f"input {slot!r} of step {step.node_id} is fed by an edge but was not used"
+                )
         for slot, value in step.inputs_used.items():
             producers = edges_in.get((step.node_id, slot), [])
             if producers:
@@ -253,7 +281,12 @@ def _check_data_flow(
                         f"its producer's output"
                     )
             elif slot in source:
-                if slot in trace.final_bindings and trace.final_bindings[slot] != value:
+                if slot not in trace.final_bindings:
+                    report.add(
+                        f"input {slot!r} of step {step.node_id} is source-bound but "
+                        "missing from final bindings"
+                    )
+                elif trace.final_bindings[slot] != value:
                     report.add(
                         f"input {slot!r} of step {step.node_id} does not equal "
                         f"the goal binding"

@@ -436,6 +436,7 @@ def export_dot(graph: TaskGraph) -> str:
     lines = [f"digraph {name} {{"]
     for node in graph.nodes:
         label = f"{node.capability_id.render()}@{node.agent_id}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')  # an agent id is any string
         lines.append(f'  n{node.node_id} [label="{label}"];')
     for edge in graph.edges:
         lines.append(f'  n{edge.from_node} -> n{edge.to_node} [label="{edge.slot}"];')

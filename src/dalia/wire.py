@@ -542,7 +542,10 @@ class TcpClient:
         with self._lock:
             self._next_id += 1
             request_id = self._next_id
-            frame = frame_block(make_request(request_id, method, params or {}))
+            try:
+                frame = frame_block(make_request(request_id, method, params or {}))
+            except (TypeError, ValueError) as exc:  # nothing is sent; the connection stays
+                raise ProtocolError(f"{self.endpoint}: cannot encode the request: {exc}") from exc
             try:
                 return response_result(self._round_trip(frame), request_id)
             except WireError:

@@ -17,7 +17,7 @@ import pytest
 
 import dalia
 import scenario
-from dalia import wire
+from dalia import cli, wire
 from dalia.canonical import canonical_bytes
 from dalia.cli import main
 from dalia.directory import save_snapshot, snapshot_to_json
@@ -197,6 +197,78 @@ def test_run_trace_files_are_byte_identical(tmp_path):
         assert code == 0
         assert output == ""
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _refuse_discovery(monkeypatch) -> None:
+    def discover(*args, **kwargs):
+        raise AssertionError("discovery was reached")
+
+    monkeypatch.setattr(cli, "discover", discover)
+
+
+def test_run_refuses_an_unwritable_trace_path_before_discovery(tmp_path, monkeypatch, capsys):
+    config = write_scenario_configs(tmp_path)
+    _refuse_discovery(monkeypatch)
+    for path, reason in (
+        (tmp_path / "absent" / "trace.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ):
+        code, output = run_cli(
+            ["run", "--config", str(config), "--intent", "book_restaurant",
+             "--inputs", *SCENARIO_INPUT_ARGS, "--trace", str(path)]
+        )
+        assert (code, output) == (1, "")
+        assert capsys.readouterr().err == f"usage error: cannot write trace {path}: {reason}\n"
+    assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize("before", [None, b"an earlier trace\n"], ids=["absent", "existing"])
+def test_a_run_that_stops_before_writing_leaves_the_trace_path_as_it_was(tmp_path, before):
+    config = write_scenario_configs(tmp_path)
+    path = tmp_path / "trace.json"
+    if before is not None:
+        path.write_bytes(before)
+    code, output = run_cli(
+        ["run", "--config", str(config), "--intent", "fly_somewhere", "--trace", str(path)]
+    )
+    assert (code, output) == (3, "")
+    assert (path.read_bytes() if path.exists() else None) == before
+
+
+def test_a_run_replaces_a_longer_existing_trace_file(tmp_path):
+    config = write_scenario_configs(tmp_path)
+    args = ["run", "--config", str(config), "--intent", "book_restaurant",
+            "--inputs", *SCENARIO_INPUT_ARGS]
+    code, output = run_cli(args)
+    assert code == 0
+    path = tmp_path / "trace.json"
+    path.write_bytes(b"x" * 10 * len(output))
+    assert run_cli([*args, "--trace", str(path)]) == (0, "")
+    assert path.read_text(encoding="utf-8") == output
+
+
+def test_an_input_that_is_not_utf8_is_a_usage_error_before_discovery(tmp_path, monkeypatch, capsys):
+    config = write_scenario_configs(tmp_path)
+    _refuse_discovery(monkeypatch)
+    code, output = run_cli(
+        ["run", "--config", str(config), "--intent", "book_restaurant",
+         "--inputs", "location=\udcff", "date=tomorrow", "party_size=4"]
+    )
+    assert (code, output) == (1, "")
+    assert capsys.readouterr().err == "usage error: input 'location' is not UTF-8 text: '\\udcff'\n"
+
+
+def test_run_refuses_a_raw_non_utf8_byte_in_an_input():
+    proc = subprocess.run(
+        [sys.executable, "-m", "dalia.cli", "run", "--config", "configs/orchestrator.json",
+         "--intent", "book_restaurant", "--inputs", b"location=\xff", "date=tomorrow",
+         "party_size=4"],
+        capture_output=True,
+        timeout=30,
+        cwd=REPO_ROOT,
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"usage error: input 'location' is not UTF-8 text: '\\udcff'\n"
 
 
 def test_usage_errors_exit_1(tmp_path):

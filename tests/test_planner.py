@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from random import Random
 
@@ -391,6 +392,13 @@ def test_dot_export_scenario(scenario_ctx, scenario_goal):
     assert dot.count('[label="restaurant_list"]') == 1
     assert 'label="restaurant.search@RestaurantAgent"' in dot
     assert 'label="restaurant.reserve@RestaurantAgent"' in dot
+
+
+def test_dot_export_escapes_quotes_and_backslashes_in_an_agent_id(scenario_ctx, scenario_goal):
+    graph = plan(scenario_goal, scenario_ctx)
+    odd = dataclasses.replace(graph.nodes[0], agent_id='Ag"ent\\')
+    dot = export_dot(dataclasses.replace(graph, nodes=(odd, *graph.nodes[1:])))
+    assert '  n0 [label="restaurant.reserve@Ag\\"ent\\\\"];\n' in dot
 
 
 def test_plan_determinism_100_runs(scenario_ctx, scenario_goal):

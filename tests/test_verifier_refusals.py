@@ -207,7 +207,10 @@ _FORGED_TRACES = {
     ),
     "succeeded-after-the-failed-step": (
         lambda t: _steps(_aborted_at_search(t), {}, {"status": STATUS_SUCCEEDED}),
-        ["steps after the failed step must all be skipped"],
+        [
+            "steps after the failed step must all be skipped",
+            "input 'restaurant_list' of step 0 is fed by an edge but was not used",
+        ],
     ),
     "failed-step-without-an-error": (
         lambda t: _steps(_aborted_at_search(t), {"error": None}),
@@ -240,6 +243,22 @@ _FORGED_TRACES = {
     "input-without-a-source": (
         lambda t: _steps(t, {}, {"inputs_used": dict(t.steps[1].inputs_used, smuggled="x")}),
         ["input 'smuggled' of step 0 has neither a producer edge nor a source binding"],
+    ),
+    "another-nodes-capability": (
+        lambda t: _steps(t, {"capability_id": scenario.RESERVE_ID}),
+        ["step 1 names capability restaurant.reserve, not its node's restaurant.search"],
+    ),
+    "another-agent": (
+        lambda t: _steps(t, {}, {"agent_id": "GhostAgent"}),
+        ["step 0 names agent 'GhostAgent', not its node's 'RestaurantAgent'"],
+    ),
+    "edge-fed-input-unused": (
+        lambda t: _steps(t, {}, {"inputs_used": {"date": "tomorrow", "party_size": "4"}}),
+        ["input 'restaurant_list' of step 0 is fed by an edge but was not used"],
+    ),
+    "source-bound-input-missing-from-final-bindings": (
+        lambda t: _without_final(t, "location"),
+        ["input 'location' of step 1 is source-bound but missing from final bindings"],
     ),
 }
 

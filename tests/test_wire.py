@@ -27,6 +27,9 @@ from dalia.errors import (
     ProtocolError,
     WireError,
 )
+from dalia.discovery import build_invoker, discover
+from dalia.executor import OUTCOME_ABORTED, STATUS_FAILED, STATUS_SKIPPED, execute
+from dalia.planner import Goal, plan
 from dalia.serve import TcpServerHandle, _ThreadingTcpServer, serve_stdio
 from dalia.wire import (
     HANDLER_FAULT,
@@ -654,6 +657,51 @@ def test_tcp_client_keeps_its_connection_across_error_responses(monkeypatch):
     finally:
         client.close()
         handle.shutdown()
+
+
+@pytest.mark.parametrize(
+    "value", ["\udcff", float("nan"), object()], ids=["lone-surrogate", "nan", "not-json"]
+)
+def test_tcp_client_refuses_a_request_it_cannot_encode_and_keeps_its_connection(
+    monkeypatch, value
+):
+    handle = TcpServerHandle(_food_server(), "127.0.0.1:0")
+    client = TcpClient(handle.address)
+    opened = _count_connects(monkeypatch)
+    unencodable = {"capability_id": "restaurant.search", "inputs": {"location": value}}
+    try:
+        assert client.call("dalia/invoke", SEARCH_PARAMS)
+        with pytest.raises(ProtocolError, match="cannot encode the request"):
+            client.call("dalia/invoke", unencodable)
+        assert client.call("dalia/invoke", SEARCH_PARAMS) == {
+            "restaurant_list": scenario.RESTAURANT_LIST
+        }
+        assert len(opened) == 1
+    finally:
+        client.close()
+        handle.shutdown()
+
+
+def test_an_input_no_encoding_can_send_fails_its_step_over_tcp(directory_client):
+    handle = TcpServerHandle(_food_server(), "127.0.0.1:0")
+    goal = Goal("book_restaurant", dict(scenario.SCENARIO_INPUTS, location="\udcff"))
+    try:
+        ctx = discover([f"tcp:{handle.address}"], directory_client, set(goal.bindings))
+        try:
+            graph = plan(goal, ctx)
+            trace = execute(graph, goal, ctx, build_invoker(ctx))
+        finally:
+            for client in ctx.server_routes.values():
+                client.close()
+    finally:
+        handle.shutdown()
+    assert trace.outcome == OUTCOME_ABORTED
+    search, reserve = trace.steps
+    assert search.status == STATUS_FAILED
+    assert search.error.startswith(
+        f"invocation failed: {handle.address}: cannot encode the request: "
+    )
+    assert reserve.status == STATUS_SKIPPED
 
 
 @contextlib.contextmanager

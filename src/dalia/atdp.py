@@ -13,7 +13,6 @@ it. Documents travel as JSON with a fixed field order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .capabilities import (
@@ -27,19 +26,21 @@ from .capabilities import (
     parse_capability_id,
     raise_aggregated,
 )
+from .errors import _Value
 
 TASK_FIELDS = ("task_id", "intent", "inputs", "outputs", "capabilities")
 
 
-@dataclass(frozen=True)
-class TaskDeclaration:
+class TaskDeclaration(_Value):
     """A declared objective and the capability pool that can realize it."""
 
-    task_id: CapabilityId
-    intent: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    capabilities: tuple[CapabilityId, ...]
+    def __init__(self, task_id: CapabilityId, intent: str, inputs: tuple[str, ...],
+                 outputs: tuple[str, ...], capabilities: tuple[CapabilityId, ...]):
+        object.__setattr__(self, "task_id", task_id)
+        object.__setattr__(self, "intent", intent)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "capabilities", capabilities)
 
     def to_json(self) -> dict:
         return {
@@ -51,14 +52,15 @@ class TaskDeclaration:
         }
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(_Value):
     """Whether a task can be grounded, and every defect found if not."""
 
-    feasible: bool
-    missing_capabilities: tuple[CapabilityId, ...]
-    uncovered_outputs: tuple[str, ...]
-    unreachable_inputs: tuple[str, ...]
+    def __init__(self, feasible: bool, missing_capabilities: tuple[CapabilityId, ...],
+                 uncovered_outputs: tuple[str, ...], unreachable_inputs: tuple[str, ...]):
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "missing_capabilities", missing_capabilities)
+        object.__setattr__(self, "uncovered_outputs", uncovered_outputs)
+        object.__setattr__(self, "unreachable_inputs", unreachable_inputs)
 
     @property
     def diagnostics(self) -> tuple[str, ...]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Any, Callable, Sequence, TypeVar
 
 from .canonical import strict_loads
@@ -29,6 +29,7 @@ from .errors import (
     SchemaViolation,
     ValidationError,
     ValidationReport,
+    _Value,
 )
 
 # Identifier grammar shared by slot names, fact tokens, intents, server ids
@@ -57,29 +58,29 @@ def is_identifier(value: Any) -> bool:
     return isinstance(value, str) and IDENTIFIER_RE.match(value) is not None
 
 
-@dataclass(frozen=True, order=True)
-class CapabilityId:
+@total_ordering
+class CapabilityId(_Value):
     """Two-segment capability name, rendered as ``namespace.name``.
 
-    Ordering is lexicographic on the rendered form (the field tuple order
-    coincides with it because ``.`` sorts below every identifier character).
-    The hash is ``hash((namespace, name))``, as a dataclass would compute it;
-    it and the rendered form are computed once per object and kept outside
-    the fields.
+    Ordering is on the field tuple; for parsed ids it coincides with the
+    rendered form's, because ``.`` sorts below every identifier character.
+    The hash is ``hash((namespace, name))``, the field tuple's; it and the
+    rendered form are computed once per object and kept outside the fields.
     """
 
-    namespace: str
-    name: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.namespace, self.name)))
-        object.__setattr__(self, "_text", f"{self.namespace}.{self.name}")
+    def __init__(self, namespace: str, name: str):
+        object.__setattr__(self, "namespace", namespace)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash((namespace, name)))
+        object.__setattr__(self, "_text", f"{namespace}.{name}")
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):  # a copy in another process must hash with its seed
-        return CapabilityId, (self.namespace, self.name)
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) < other._values(other)
+        return NotImplemented
 
     @classmethod
     def parse(cls, text: Any) -> CapabilityId:
@@ -117,8 +118,7 @@ def slot_known_fact(slot: str) -> str:
     return f"{slot}_known"
 
 
-@dataclass(frozen=True)
-class Capability:
+class Capability(_Value):
     """A declared executable operation.
 
     Its derived facts are computed once per object and kept outside the
@@ -127,18 +127,21 @@ class Capability:
     the known-fact of each output).
     """
 
-    capability_id: CapabilityId
-    role: str
-    domain: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    preconditions: tuple[str, ...] = ()
-    postconditions: tuple[str, ...] = ()
+    _checked = False  # see is_checked
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "input_set", frozenset(self.inputs))
-        object.__setattr__(self, "output_set", frozenset(self.outputs))
-        effects = frozenset(self.postconditions).union(map(slot_known_fact, self.outputs))
+    def __init__(self, capability_id: CapabilityId, role: str, domain: str,
+                 inputs: tuple[str, ...], outputs: tuple[str, ...],
+                 preconditions: tuple[str, ...] = (), postconditions: tuple[str, ...] = ()):
+        object.__setattr__(self, "capability_id", capability_id)
+        object.__setattr__(self, "role", role)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "preconditions", preconditions)
+        object.__setattr__(self, "postconditions", postconditions)
+        object.__setattr__(self, "input_set", frozenset(inputs))
+        object.__setattr__(self, "output_set", frozenset(outputs))
+        effects = frozenset(postconditions).union(map(slot_known_fact, outputs))
         object.__setattr__(self, "effects", effects)
 
     def to_json(self) -> dict:
@@ -337,7 +340,7 @@ def _parse_fields(data: dict) -> Capability:
     assert capability_id is not None
     tokens = (tuple(lists[name]) for name in CAPABILITY_FIELDS[3:])
     cap = Capability(capability_id, data["role"], data["domain"], *tokens)
-    cap.__dict__["_checked"] = True  # see is_checked
+    object.__setattr__(cap, "_checked", True)  # see is_checked
     return cap
 
 
@@ -355,9 +358,9 @@ def _capability_invariants(
 
 def is_checked(cap: Capability) -> bool:
     """True when ``parse_capability`` built ``cap``, so it has passed every
-    check ``validate_capability`` makes; a copy made by
-    ``dataclasses.replace`` is not marked."""
-    return cap.__dict__.get("_checked", False)
+    check ``validate_capability`` makes; a copy made by ``replace``,
+    ``copy`` or ``pickle`` is not marked."""
+    return cap._checked
 
 
 def validate_capability(cap: Capability) -> ValidationReport:

@@ -12,7 +12,6 @@ import io
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .capabilities import is_identifier, load_document
@@ -25,6 +24,7 @@ from .errors import (
     DiscoveryError,
     MalformedDocument,
     PlanningError,
+    _Value,
 )
 from .executor import OUTCOME_COMPLETED, canonical_serialize_trace, execute
 from .planner import Goal, canonical_serialize_graph, export_dot, plan, validate_graph
@@ -46,10 +46,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class OrchestratorConfig:
-    servers: tuple[str, ...]
-    directory: str
+class OrchestratorConfig(_Value):
+    def __init__(self, servers: tuple[str, ...], directory: str):
+        object.__setattr__(self, "servers", servers)
+        object.__setattr__(self, "directory", directory)
 
 
 def load_orchestrator_config(path: str) -> OrchestratorConfig:

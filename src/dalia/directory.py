@@ -10,7 +10,6 @@ Snapshots are immutable values; every mutation returns a new snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable
 
@@ -29,20 +28,22 @@ from .errors import (
     InvalidServerId,
     MalformedDocument,
     UnknownAgent,
+    _Value,
 )
 
 AGENT_RECORD_FIELDS = ("agent_id", "role", "domains", "accessible_servers")
 SNAPSHOT_FIELDS = ("origin", "agents", "server_capabilities")
 
 
-@dataclass(frozen=True)
-class AgentRecord:
+class AgentRecord(_Value):
     """One directory entry: an execution entity and the servers it may use."""
 
-    agent_id: str
-    role: str
-    domains: tuple[str, ...]
-    accessible_servers: tuple[str, ...]
+    def __init__(self, agent_id: str, role: str, domains: tuple[str, ...],
+                 accessible_servers: tuple[str, ...]):
+        object.__setattr__(self, "agent_id", agent_id)
+        object.__setattr__(self, "role", role)
+        object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "accessible_servers", accessible_servers)
 
     def to_json(self) -> dict:
         return {
@@ -53,13 +54,14 @@ class AgentRecord:
         }
 
 
-@dataclass(frozen=True)
-class DirectorySnapshot:
+class DirectorySnapshot(_Value):
     """Immutable directory state: agents, server bindings, and an origin id."""
 
-    agents: dict[str, AgentRecord]
-    server_capabilities: dict[str, tuple[CapabilityId, ...]]
-    origin: str
+    def __init__(self, agents: dict[str, AgentRecord],
+                 server_capabilities: dict[str, tuple[CapabilityId, ...]], origin: str):
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "server_capabilities", server_capabilities)
+        object.__setattr__(self, "origin", origin)
 
     @cached_property
     def _bound(self) -> dict[str, tuple[str, ...]]:
@@ -211,7 +213,7 @@ def resolve_capability(snapshot: DirectorySnapshot, capability_id: CapabilityId)
     """All agents eligible to execute ``capability_id``, sorted by agent id.
 
     Read from an index derived per snapshot on first use; like the derived
-    executable view it is never persisted or compared (not a dataclass field).
+    executable view it is never persisted or compared (not a field).
     """
     return list(snapshot._eligible_agents.get(capability_id.render(), ()))
 

@@ -9,7 +9,6 @@ defect raises and no context is produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .atdp import FeasibilityReport, TaskDeclaration, check_feasibility, parse_task
@@ -21,23 +20,26 @@ from .errors import (
     ProtocolError,
     ValidationError,
     WireError,
+    _Value,
 )
 from .wire import Invoker, connect_directory, connect_server
 
 
-@dataclass(frozen=True)
-class ExecutionContext:
+class ExecutionContext(_Value):
     """Sealed, closed-world view produced by one discovery round.
 
     ``server_routes`` maps each server id to the client discovery queried
-    it through; execution invokes over those same clients.
+    it through (none by default); execution invokes over those same clients.
     """
 
-    capabilities: dict[CapabilityId, tuple[Capability, str]]
-    tasks: dict[CapabilityId, TaskDeclaration]
-    directory: DirectorySnapshot
-    provided_inputs: frozenset[str]
-    server_routes: dict[str, Any] = field(default_factory=dict)
+    def __init__(self, capabilities: dict[CapabilityId, tuple[Capability, str]],
+                 tasks: dict[CapabilityId, TaskDeclaration], directory: DirectorySnapshot,
+                 provided_inputs: frozenset[str], server_routes: dict[str, Any] | None = None):
+        object.__setattr__(self, "capabilities", capabilities)
+        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "directory", directory)
+        object.__setattr__(self, "provided_inputs", provided_inputs)
+        object.__setattr__(self, "server_routes", {} if server_routes is None else server_routes)
 
     def capability(self, capability_id: CapabilityId) -> Capability:
         return self.capabilities[capability_id][0]

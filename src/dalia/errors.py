@@ -1,22 +1,74 @@
-"""Error taxonomy and validation reports shared across the package."""
+"""Error taxonomy, validation reports and the value base shared across the package."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
+
+
+class _Value:
+    """Base of the package's value classes. A subclass's fields are its
+    ``__init__``'s parameters, in order, and ``__init__`` stores each with
+    ``object.__setattr__`` (a write through ``self.__dict__`` would slow every
+    later read). A value equals and hashes as the tuple of its fields, equals
+    values of its own class only, prints as ``Name(field=value, ...)`` and
+    refuses assignment and deletion. ``copy``, ``pickle`` and ``replace``
+    rebuild it through ``__init__``, so nothing derived or stashed on the
+    original is carried over."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = fields = code.co_varnames[1 : code.co_argcount]
+        # The one reader of the field tuple, called as ``value._values(value)``.
+        # ``attrgetter`` of a single name returns the bare value, not a tuple.
+        cls._values = (
+            attrgetter(*fields)
+            if len(fields) > 1
+            else staticmethod(lambda value: tuple(getattr(value, name) for name in fields))
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to its fields, built through ``__init__``."""
+        return type(self)(**{**dict(zip(self._fields, self._values(self))), **changes})
 
 
 class DaliaError(Exception):
     """Base class for every error raised by this package."""
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(_Value):
     """Outcome of re-checking invariants on an already-built value.
 
-    A report never raises; callers inspect ``ok`` / ``violations``.
+    A report never raises; callers inspect ``ok`` / ``violations``. Unlike
+    other values it is mutable, and so unhashable.
     """
 
-    violations: list[str] = field(default_factory=list)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, violations: list[str] | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

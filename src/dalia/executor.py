@@ -14,13 +14,12 @@ independent executions may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from .canonical import canonical_bytes, sha256_hex, sorted_map
 from .capabilities import Capability, CapabilityId
 from .discovery import ExecutionContext
-from .errors import DaliaError, InvalidGraph, ValidationReport
+from .errors import DaliaError, InvalidGraph, ValidationReport, _Value
 from .planner import (
     Goal,
     Node,
@@ -38,15 +37,17 @@ OUTCOME_COMPLETED = "completed"
 OUTCOME_ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    node_id: int
-    capability_id: CapabilityId
-    agent_id: str
-    status: str
-    inputs_used: dict[str, Any]
-    outputs_received: dict[str, Any]
-    error: str | None = None
+class StepRecord(_Value):
+    def __init__(self, node_id: int, capability_id: CapabilityId, agent_id: str, status: str,
+                 inputs_used: dict[str, Any], outputs_received: dict[str, Any],
+                 error: str | None = None):
+        object.__setattr__(self, "node_id", node_id)
+        object.__setattr__(self, "capability_id", capability_id)
+        object.__setattr__(self, "agent_id", agent_id)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "inputs_used", inputs_used)
+        object.__setattr__(self, "outputs_received", outputs_received)
+        object.__setattr__(self, "error", error)
 
     def to_json(self) -> dict:
         return {
@@ -60,12 +61,13 @@ class StepRecord:
         }
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
-    graph_fingerprint: str
-    steps: tuple[StepRecord, ...]
-    outcome: str
-    final_bindings: dict[str, Any]
+class ExecutionTrace(_Value):
+    def __init__(self, graph_fingerprint: str, steps: tuple[StepRecord, ...], outcome: str,
+                 final_bindings: dict[str, Any]):
+        object.__setattr__(self, "graph_fingerprint", graph_fingerprint)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "final_bindings", final_bindings)
 
     def to_json(self) -> dict:
         return {

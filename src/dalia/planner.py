@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any
 
@@ -43,27 +42,29 @@ from .errors import (
     SchemaViolation,
     UnproducibleSlot,
     ValidationReport,
+    _Value,
 )
 
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(_Value):
     """Structured request: an intent, slot bindings, and initial facts."""
 
-    intent: str
-    bindings: dict[str, Any]
-    initial_facts: frozenset[str] = frozenset()
+    def __init__(self, intent: str, bindings: dict[str, Any],
+                 initial_facts: frozenset[str] = frozenset()):
+        object.__setattr__(self, "intent", intent)
+        object.__setattr__(self, "bindings", bindings)
+        object.__setattr__(self, "initial_facts", initial_facts)
 
     def initial_fact_set(self) -> set[str]:
         return set(self.initial_facts) | {slot_known_fact(s) for s in self.bindings}
 
 
-@dataclass(frozen=True)
-class Node:
-    node_id: int
-    capability_id: CapabilityId
-    agent_id: str
-    server_id: str
+class Node(_Value):
+    def __init__(self, node_id: int, capability_id: CapabilityId, agent_id: str, server_id: str):
+        object.__setattr__(self, "node_id", node_id)
+        object.__setattr__(self, "capability_id", capability_id)
+        object.__setattr__(self, "agent_id", agent_id)
+        object.__setattr__(self, "server_id", server_id)
 
     def to_json(self) -> dict:
         return {
@@ -74,27 +75,25 @@ class Node:
         }
 
 
-@dataclass(frozen=True)
-class Edge:
-    from_node: int
-    to_node: int
-    slot: str
+class Edge(_Value):
+    def __init__(self, from_node: int, to_node: int, slot: str):
+        object.__setattr__(self, "from_node", from_node)
+        object.__setattr__(self, "to_node", to_node)
+        object.__setattr__(self, "slot", slot)
 
     def to_json(self) -> dict:
         return {"from_node": self.from_node, "to_node": self.to_node, "slot": self.slot}
 
 
-@dataclass(frozen=True)
-class TaskGraph:
+class TaskGraph(_Value):
     """Directed acyclic plan: capability executions linked by named data slots."""
 
-    task_id: CapabilityId
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
-    source_bindings: tuple[str, ...]
-
-    def __reduce__(self):  # a copy leaves out the checks stashed with their context
-        return TaskGraph, (self.task_id, self.nodes, self.edges, self.source_bindings)
+    def __init__(self, task_id: CapabilityId, nodes: tuple[Node, ...], edges: tuple[Edge, ...],
+                 source_bindings: tuple[str, ...]):
+        object.__setattr__(self, "task_id", task_id)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "source_bindings", source_bindings)
 
     def to_json(self) -> dict:
         return {
@@ -210,7 +209,7 @@ def synthesize_graph(task: TaskDeclaration, goal: Goal, ctx: ExecutionContext) -
     defect = _first_precondition_defect(graph, goal, ctx)
     if defect is not None:
         raise defect
-    # kept outside the dataclass fields, so validate_graph need not simulate again
+    # kept outside the fields, so validate_graph need not simulate again
     graph.__dict__["_schedulable"] = goal, ctx
     return graph
 
@@ -256,7 +255,7 @@ def assign_agents(graph: TaskGraph, ctx: ExecutionContext) -> TaskGraph:
             raise NoEligibleAgent(node.capability_id.render())
         server_id = ctx.provider(node.capability_id)
         nodes.append(Node(node.node_id, node.capability_id, eligible[0], server_id))
-    assigned = replace(graph, nodes=tuple(nodes))
+    assigned = TaskGraph(graph.task_id, tuple(nodes), graph.edges, graph.source_bindings)
     assigned.__dict__["ordering"] = graph.ordering
     if "_schedulable" in graph.__dict__:
         assigned.__dict__["_schedulable"] = graph.__dict__["_schedulable"]
@@ -283,7 +282,7 @@ def structural_violations(graph: TaskGraph, ctx: ExecutionContext) -> list[str]:
     """Goal-independent graph defects: cycles, grounding, edge shape, coverage.
 
     Computed once per (graph, context) and kept on the graph, outside the
-    dataclass fields, with its context; each caller gets a fresh list."""
+    fields, with its context; each caller gets a fresh list."""
     checked = graph.__dict__.get("_structural")
     if checked is None or checked[0] is not ctx:
         checked = graph.__dict__["_structural"] = (ctx, tuple(_structural_defects(graph, ctx)))

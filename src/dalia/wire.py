@@ -17,9 +17,7 @@ concurrently. Directory writes are serialized by the service.
 from __future__ import annotations
 
 import io
-import socket
 import threading
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable
 
@@ -48,6 +46,7 @@ from .errors import (
     ProtocolError,
     ValidationError,
     WireError,
+    _Value,
 )
 
 JSONRPC_VERSION = "2.0"
@@ -206,8 +205,7 @@ def read_block(reader: io.BufferedIOBase) -> dict | None:
 # -- server configuration --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HandlerSpec:
+class HandlerSpec(_Value):
     """Scripted behavior for one capability.
 
     ``script`` holds output maps replayed in invocation order (the last
@@ -215,16 +213,21 @@ class HandlerSpec:
     indices that fault instead.
     """
 
-    script: tuple[dict, ...] = ()
-    fail_on: tuple[int, ...] = ()
+    def __init__(self, script: tuple[dict, ...] = (), fail_on: tuple[int, ...] = ()):
+        object.__setattr__(self, "script", script)
+        object.__setattr__(self, "fail_on", fail_on)
 
 
-@dataclass(frozen=True)
-class ServerConfig:
-    server_id: str
-    capabilities: tuple[Capability, ...]
-    tasks: tuple[TaskDeclaration, ...]
-    handlers: dict[CapabilityId, HandlerSpec] = field(default_factory=dict)
+class ServerConfig(_Value):
+    """A capability server's declarations and scripted handlers (none by default)."""
+
+    def __init__(self, server_id: str, capabilities: tuple[Capability, ...],
+                 tasks: tuple[TaskDeclaration, ...],
+                 handlers: dict[CapabilityId, HandlerSpec] | None = None):
+        object.__setattr__(self, "server_id", server_id)
+        object.__setattr__(self, "capabilities", capabilities)
+        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "handlers", {} if handlers is None else handlers)
 
     @cached_property
     def problems(self) -> list[str]:
@@ -274,19 +277,17 @@ def parse_server_config(document: Any) -> ServerConfig:
     if unknown:
         problems.append(f"unexpected config fields: {sorted(unknown)}")
 
-    capabilities: list[Capability] = []
-    for index, doc in enumerate(data.get("capabilities", [])):
-        try:
-            capabilities.append(parse_capability(doc))
-        except ValidationError as exc:
-            problems += [f"capabilities[{index}]: {v}" for v in exc.violations]
-
-    tasks: list[TaskDeclaration] = []
-    for index, doc in enumerate(data.get("tasks", [])):
-        try:
-            tasks.append(parse_task(doc))
-        except ValidationError as exc:
-            problems += [f"tasks[{index}]: {v}" for v in exc.violations]
+    parsed: dict[str, list] = {"capabilities": [], "tasks": []}
+    for name, parse in (("capabilities", parse_capability), ("tasks", parse_task)):
+        docs = data.get(name, [])
+        if not isinstance(docs, list):
+            problems.append(f"{name} must be a list")
+            docs = []
+        for index, doc in enumerate(docs):
+            try:
+                parsed[name].append(parse(doc))
+            except ValidationError as exc:
+                problems += [f"{name}[{index}]: {v}" for v in exc.violations]
 
     handlers: dict[CapabilityId, HandlerSpec] = {}
     raw_handlers = data.get("handlers", {})
@@ -313,8 +314,8 @@ def parse_server_config(document: Any) -> ServerConfig:
 
     config = ServerConfig(
         server_id=server_id,
-        capabilities=tuple(capabilities),
-        tasks=tuple(tasks),
+        capabilities=tuple(parsed["capabilities"]),
+        tasks=tuple(parsed["tasks"]),
         handlers=handlers,
     )
     problems += config.problems
@@ -535,7 +536,7 @@ class TcpClient:
         self._address = parse_tcp_address(address)
         self._next_id = 0
         self._lock = threading.Lock()
-        self._sock: socket.socket | None = None
+        self._sock = None
         self._reader: io.BufferedReader | None = None
 
     def call(self, method: str, params: dict | None = None) -> Any:
@@ -563,6 +564,8 @@ class TcpClient:
             self._drop()
 
     def _connect(self) -> None:
+        import socket  # here, so that a run over local: endpoints never loads it
+
         self._drop()
         self._sock = socket.create_connection(self._address, timeout=CLIENT_TIMEOUT_SECONDS)
         self._reader = self._sock.makefile("rb")

@@ -292,6 +292,45 @@ def test_server_serve_rejects_broken_config(tmp_path):
     assert code == 1
 
 
+# A value that is not a list: a number, a boolean, and an object, whose keys
+# were once read as capability or task documents.
+_NOT_LISTS = pytest.mark.parametrize("value", [5, True, {"restaurant.search": {}}])
+_LIST_FIELDS = pytest.mark.parametrize("field", ["capabilities", "tasks"])
+
+
+@_NOT_LISTS
+@_LIST_FIELDS
+def test_server_serve_refuses_a_config_whose_list_field_is_not_a_list(
+    tmp_path, capsys, field, value
+):
+    doc = scenario.food_server_doc()
+    doc[field] = value
+    path = tmp_path / "food_server.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["server", "serve", "--config", str(path)]) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid configuration: {field} must be a list")
+    assert len(err.splitlines()) == 1
+
+
+@_NOT_LISTS
+@_LIST_FIELDS
+def test_run_over_a_local_server_whose_list_field_is_not_a_list_exits_2(
+    tmp_path, capsys, field, value
+):
+    config = write_scenario_configs(tmp_path)
+    doc = scenario.food_server_doc()
+    doc[field] = value
+    (tmp_path / "food_server.json").write_text(json.dumps(doc))
+    args = ["run", "--config", str(config), "--intent", "book_restaurant"]
+    assert run_cli([*args, "--inputs", *SCENARIO_INPUT_ARGS]) == (2, "")
+    endpoint = f"local:{config.resolve().parent / 'food_server.json'}"
+    err = capsys.readouterr().err
+    assert err.startswith(f"EndpointUnreachable: endpoint unreachable: {endpoint} ({field} ")
+    assert f"({field} must be a list" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_server_serve_stdio_subprocess(tmp_path):
     server_doc = scenario.food_server_doc()
     path = tmp_path / "food_server.json"
@@ -451,7 +490,8 @@ def test_run_loads_no_serving_code():
         "argv = ['run', '--config', 'configs/orchestrator.json', '--intent', 'book_restaurant',\n"
         f"        '--inputs', *{SCENARIO_INPUT_ARGS!r}]\n"
         "assert cli.main(argv, out=io.StringIO()) == 0\n"
-        "print(sorted({'socketserver', 'dalia.serve'} & set(sys.modules)))\n"
+        "loaded = {'socketserver', 'dalia.serve', 'dataclasses', 'inspect', 'socket'}\n"
+        "print(sorted(loaded & set(sys.modules)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=30, cwd=REPO_ROOT

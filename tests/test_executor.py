@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import pickle
 from random import Random
 
@@ -314,7 +313,7 @@ def test_execute_runtime_precondition_violation():
 
 def test_execute_rejects_malformed_graph(scenario_context, scenario_goal):
     graph = plan(scenario_goal, scenario_context)
-    broken = dataclasses.replace(graph, edges=())  # reserve loses its producer
+    broken = graph.replace(edges=())  # reserve loses its producer
     with pytest.raises(InvalidGraph):
         execute(broken, scenario_goal, scenario_context, ScriptedInvoker({}))
 
@@ -353,7 +352,7 @@ def test_failed_step_binds_none_of_its_outputs():
     assert trace.final_bindings == {"x": "1"}
     assert replay_check(trace, graph).ok
 
-    leaked = dataclasses.replace(trace, final_bindings={"x": "1", "y": "3"})
+    leaked = trace.replace(final_bindings={"x": "1", "y": "3"})
     assert replay_check(leaked, graph).violations == [
         "final binding 'y' is neither a source binding nor an output of a succeeded step"
     ]
@@ -408,7 +407,7 @@ def test_data_flow_soundness_from_trace(scenario_context, scenario_goal):
 
 def test_replay_check_detects_reordered_steps(scenario_context, scenario_goal):
     graph, trace = _scenario_run(scenario_context, scenario_goal)
-    reordered = dataclasses.replace(trace, steps=tuple(reversed(trace.steps)))
+    reordered = trace.replace(steps=tuple(reversed(trace.steps)))
     report = replay_check(reordered, graph)
     assert any("canonical topological order" in v for v in report.violations)
 
@@ -416,18 +415,17 @@ def test_replay_check_detects_reordered_steps(scenario_context, scenario_goal):
 def test_replay_check_detects_write_once_violation(scenario_context, scenario_goal):
     graph, trace = _scenario_run(scenario_context, scenario_goal)
     first, second = trace.steps
-    corrupted_second = dataclasses.replace(
-        second,
+    corrupted_second = second.replace(
         outputs_received=dict(second.outputs_received, restaurant_list=["again"]),
     )
-    corrupted = dataclasses.replace(trace, steps=(first, corrupted_second))
+    corrupted = trace.replace(steps=(first, corrupted_second))
     report = replay_check(corrupted, graph)
     assert any("write-once" in v for v in report.violations)
 
 
 def test_replay_check_detects_fingerprint_mismatch(scenario_context, scenario_goal):
     graph, trace = _scenario_run(scenario_context, scenario_goal)
-    forged = dataclasses.replace(trace, graph_fingerprint="0" * 64)
+    forged = trace.replace(graph_fingerprint="0" * 64)
     report = replay_check(forged, graph)
     assert any("fingerprint" in v for v in report.violations)
 
@@ -435,10 +433,9 @@ def test_replay_check_detects_fingerprint_mismatch(scenario_context, scenario_go
 def test_replay_check_detects_succeeded_after_failed(scenario_context, scenario_goal):
     graph, trace = _scenario_run(scenario_context, scenario_goal)
     first, second = trace.steps
-    tampered = dataclasses.replace(
-        trace,
+    tampered = trace.replace(
         outcome=OUTCOME_ABORTED,
-        steps=(dataclasses.replace(first, status=STATUS_FAILED, error="boom"), second),
+        steps=(first.replace(status=STATUS_FAILED, error="boom"), second),
     )
     report = replay_check(tampered, graph)
     assert any("skipped" in v for v in report.violations)

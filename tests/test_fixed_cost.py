@@ -4,7 +4,6 @@ here as the reference."""
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import math
@@ -205,8 +204,8 @@ def test_a_capability_id_renders_its_fields_after_pickling_and_replace():
     cid = CapabilityId("restaurant", "search")
     assert cid.render() == str(cid) == "restaurant.search"
     assert pickle.loads(pickle.dumps(cid)).render() == "restaurant.search"
-    assert dataclasses.replace(cid, name="reserve").render() == "restaurant.reserve"
-    assert dataclasses.replace(cid, namespace="bistro").render() == "bistro.search"
+    assert cid.replace(name="reserve").render() == "restaurant.reserve"
+    assert cid.replace(namespace="bistro").render() == "bistro.search"
 
 
 def _facts(cap: Capability) -> tuple:
@@ -216,13 +215,13 @@ def _facts(cap: Capability) -> tuple:
 def test_capability_facts_follow_its_fields_after_replace_and_pickling():
     cap = Capability(CapabilityId("ns", "step"), "r", "d", ("x", "y"), ("z",), ("p",), ("q",))
     assert _facts(cap) == ({"x", "y"}, {"z"}, {"q", "z_known"})
-    changed = dataclasses.replace(cap, inputs=("w",), outputs=("u", "v"), postconditions=())
+    changed = cap.replace(inputs=("w",), outputs=("u", "v"), postconditions=())
     assert _facts(changed) == ({"w"}, {"u", "v"}, {"u_known", "v_known"})
     assert _facts(pickle.loads(pickle.dumps(changed))) == _facts(changed)
-    assert [f.name for f in dataclasses.fields(cap)] == [
+    assert Capability._fields == (
         "capability_id", "role", "domain", "inputs", "outputs", "preconditions", "postconditions",
-    ]
-    assert cap == dataclasses.replace(cap) and hash(cap) == hash(dataclasses.replace(cap))
+    )
+    assert cap == cap.replace() and hash(cap) == hash(cap.replace())
 
 
 # -- server configs: each parsed capability validated once ------------------------------
@@ -252,8 +251,8 @@ def test_a_hand_built_capability_in_a_parsed_config_is_still_refused(monkeypatch
     validated = _counting_validations(monkeypatch)
     parsed = parse_server_config(scenario.food_server_doc())
     search, reserve = parsed.capabilities
-    bad = dataclasses.replace(search, inputs=("Not-A-Slot",))
-    config = dataclasses.replace(parsed, capabilities=(bad, reserve))
+    bad = search.replace(inputs=("Not-A-Slot",))
+    config = parsed.replace(capabilities=(bad, reserve))
     with pytest.raises(ConfigInvalid) as excinfo:
         WireServer(config)
     assert excinfo.value.violations == [

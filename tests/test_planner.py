@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 from random import Random
 
@@ -396,8 +395,8 @@ def test_dot_export_scenario(scenario_ctx, scenario_goal):
 
 def test_dot_export_escapes_quotes_and_backslashes_in_an_agent_id(scenario_ctx, scenario_goal):
     graph = plan(scenario_goal, scenario_ctx)
-    odd = dataclasses.replace(graph.nodes[0], agent_id='Ag"ent\\')
-    dot = export_dot(dataclasses.replace(graph, nodes=(odd, *graph.nodes[1:])))
+    odd = graph.nodes[0].replace(agent_id='Ag"ent\\')
+    dot = export_dot(graph.replace(nodes=(odd, *graph.nodes[1:])))
     assert '  n0 [label="restaurant.reserve@Ag\\"ent\\\\"];\n' in dot
 
 

@@ -9,8 +9,6 @@ node 1, then node 0.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import scenario
@@ -41,21 +39,21 @@ def demo_graph(scenario_context, scenario_goal):
 def _node(graph, node_id, **changes):
     """``graph`` with node ``node_id`` changed."""
     nodes = tuple(
-        dataclasses.replace(node, **changes) if node.node_id == node_id else node
+        node.replace(**changes) if node.node_id == node_id else node
         for node in graph.nodes
     )
-    return dataclasses.replace(graph, nodes=nodes)
+    return graph.replace(nodes=nodes)
 
 
 _TAMPERED_GRAPHS = {
     "capability-twice": (
-        lambda g: dataclasses.replace(
-            g, nodes=g.nodes + (Node(2, scenario.SEARCH_ID, "RestaurantAgent", "mcp_food_server"),)
+        lambda g: g.replace(
+            nodes=g.nodes + (Node(2, scenario.SEARCH_ID, "RestaurantAgent", "mcp_food_server"),)
         ),
         ["capability restaurant.search instantiated more than once"],
     ),
     "cycle": (
-        lambda g: dataclasses.replace(g, edges=g.edges + (Edge(0, 1, "booking_confirmation"),)),
+        lambda g: g.replace(edges=g.edges + (Edge(0, 1, "booking_confirmation"),)),
         [
             "cycle through restaurant.reserve, restaurant.search",
             "edge slot 'booking_confirmation' is not an input of restaurant.search",
@@ -70,11 +68,11 @@ _TAMPERED_GRAPHS = {
         ["node 0 server 'mcp_map_server' is not the provider of restaurant.reserve"],
     ),
     "missing-node": (
-        lambda g: dataclasses.replace(g, edges=g.edges + (Edge(1, 7, "restaurant_list"),)),
+        lambda g: g.replace(edges=g.edges + (Edge(1, 7, "restaurant_list"),)),
         ["edge references a missing node: {'from_node': 1, 'to_node': 7, 'slot': 'restaurant_list'}"],
     ),
     "slot-not-an-output": (
-        lambda g: dataclasses.replace(g, edges=(Edge(1, 0, "date"),)),
+        lambda g: g.replace(edges=(Edge(1, 0, "date"),)),
         [
             "edge slot 'date' is not an output of restaurant.search",
             "slot 'restaurant_list' of node 0 has 0 producers "
@@ -83,18 +81,18 @@ _TAMPERED_GRAPHS = {
         ],
     ),
     "slot-neither-output-nor-input": (
-        lambda g: dataclasses.replace(g, edges=g.edges + (Edge(1, 0, "location"),)),
+        lambda g: g.replace(edges=g.edges + (Edge(1, 0, "location"),)),
         [
             "edge slot 'location' is not an output of restaurant.search",
             "edge slot 'location' is not an input of restaurant.reserve",
         ],
     ),
     "source-bound-and-edge-produced": (
-        lambda g: dataclasses.replace(g, source_bindings=g.source_bindings + ("restaurant_list",)),
+        lambda g: g.replace(source_bindings=g.source_bindings + ("restaurant_list",)),
         ["slot 'restaurant_list' of node 0 is both source-bound and edge-produced"],
     ),
     "two-producers": (
-        lambda g: dataclasses.replace(g, edges=g.edges + (DEMO_EDGE,)),
+        lambda g: g.replace(edges=g.edges + (DEMO_EDGE,)),
         [
             "slot 'restaurant_list' of node 0 has 2 producers "
             "(expected exactly one or a source binding)"
@@ -148,37 +146,33 @@ def demo_trace(demo_graph, scenario_context, scenario_goal):
 def _steps(trace, search: dict, reserve: dict | None = None):
     """``trace`` with its search and reserve steps changed."""
     steps = tuple(
-        dataclasses.replace(step, **change) for step, change in zip(trace.steps, (search, reserve or {}))
+        step.replace(**change) for step, change in zip(trace.steps, (search, reserve or {}))
     )
-    return dataclasses.replace(trace, steps=steps)
+    return trace.replace(steps=steps)
 
 
 def _aborted_at_search(trace):
     """The demo trace as if the search step had failed: well formed."""
-    return dataclasses.replace(
-        _steps(
-            trace,
-            {"status": STATUS_FAILED, "outputs_received": {}, "error": "boom"},
-            {"status": STATUS_SKIPPED, "inputs_used": {}, "outputs_received": {}},
-        ),
-        outcome=OUTCOME_ABORTED,
-        final_bindings=dict(scenario.SCENARIO_INPUTS),
-    )
+    return _steps(
+        trace,
+        {"status": STATUS_FAILED, "outputs_received": {}, "error": "boom"},
+        {"status": STATUS_SKIPPED, "inputs_used": {}, "outputs_received": {}},
+    ).replace(outcome=OUTCOME_ABORTED, final_bindings=dict(scenario.SCENARIO_INPUTS))
 
 
 def _without_final(trace, slot):
-    return dataclasses.replace(
-        trace, final_bindings={k: v for k, v in trace.final_bindings.items() if k != slot}
+    return trace.replace(
+        final_bindings={k: v for k, v in trace.final_bindings.items() if k != slot}
     )
 
 
 _FORGED_TRACES = {
     "fingerprint": (
-        lambda t: dataclasses.replace(t, graph_fingerprint="0" * 64),
+        lambda t: t.replace(graph_fingerprint="0" * 64),
         ["trace fingerprint does not match the graph"],
     ),
     "order": (
-        lambda t: dataclasses.replace(t, steps=t.steps[::-1]),
+        lambda t: t.replace(steps=t.steps[::-1]),
         ["step order does not equal the canonical topological order"],
     ),
     "completed-with-a-skipped-step": (
@@ -190,7 +184,7 @@ _FORGED_TRACES = {
         ],
     ),
     "aborted-without-a-failed-step": (
-        lambda t: dataclasses.replace(t, outcome=OUTCOME_ABORTED),
+        lambda t: t.replace(outcome=OUTCOME_ABORTED),
         ["aborted trace must contain exactly one failed step, found 0"],
     ),
     "aborted-with-two-failed-steps": (
@@ -225,8 +219,8 @@ _FORGED_TRACES = {
         ["output slot 'booking_confirmation' missing from final bindings"],
     ),
     "final-binding-differs": (
-        lambda t: dataclasses.replace(
-            t, final_bindings=dict(t.final_bindings, booking_confirmation="forged")
+        lambda t: t.replace(
+            final_bindings=dict(t.final_bindings, booking_confirmation="forged")
         ),
         ["final binding of 'booking_confirmation' differs from the step output"],
     ),
@@ -274,10 +268,10 @@ def test_replay_check_lists_exactly_the_defects_of_a_forged_demo_trace(
 
 
 def test_replay_check_stops_at_a_cyclic_graph(demo_graph, demo_trace):
-    cyclic = dataclasses.replace(
-        demo_graph, edges=demo_graph.edges + (Edge(0, 1, "booking_confirmation"),)
+    cyclic = demo_graph.replace(
+        edges=demo_graph.edges + (Edge(0, 1, "booking_confirmation"),)
     )
-    forged = dataclasses.replace(demo_trace, steps=demo_trace.steps[::-1])
+    forged = demo_trace.replace(steps=demo_trace.steps[::-1])
     assert replay_check(forged, cyclic).violations == [
         "trace fingerprint does not match the graph",
         "graph is cyclic",

@@ -96,6 +96,11 @@ class DirectorySnapshot(_Value):
             executable[agent_id] = tuple(sorted(set().union(*servers)))
         return executable
 
+    @cached_property
+    def _saved(self) -> bytes:
+        """``snapshot_to_json`` encoded: built by the first ``save_snapshot``."""
+        return canonical_bytes(snapshot_to_json(self))
+
 
 def empty_snapshot(origin: str = "directory") -> DirectorySnapshot:
     return DirectorySnapshot(agents={}, server_capabilities={}, origin=origin)
@@ -281,7 +286,7 @@ def snapshot_to_json(snapshot: DirectorySnapshot) -> dict:
 
 
 def save_snapshot(snapshot: DirectorySnapshot) -> bytes:
-    return canonical_bytes(snapshot_to_json(snapshot))
+    return snapshot._saved
 
 
 def load_snapshot(data: Any) -> DirectorySnapshot:

@@ -17,6 +17,10 @@ from .canonical import canonical_bytes, strict_loads
 from .errors import BindFailure, ProtocolError
 
 
+def _parse_error(message: str) -> bytes:
+    return canonical_bytes(wire._error_response(None, wire.PARSE_ERROR, message))
+
+
 def serve_stdio(dispatcher: wire._Dispatcher, stdin=None, stdout=None) -> None:
     """Answer newline-delimited requests until EOF. stdout carries protocol only.
 
@@ -33,17 +37,17 @@ def serve_stdio(dispatcher: wire._Dispatcher, stdin=None, stdout=None) -> None:
         if len(line) > limit and not line.endswith(b"\n"):
             while line and not line.endswith(b"\n"):
                 line = stdin.readline(limit + 1)
-            response = wire._error_response(None, wire.PARSE_ERROR, f"line exceeds {limit} bytes")
+            response = _parse_error(f"line exceeds {limit} bytes")
         elif line.strip():
             try:
                 obj = strict_loads(line)
             except ValueError as exc:
-                response = wire._error_response(None, wire.PARSE_ERROR, f"parse error: {exc}")
+                response = _parse_error(f"parse error: {exc}")
             else:
-                response = dispatcher.handle(obj)
+                response = dispatcher.answer(obj)
         else:
             continue
-        stdout.write(canonical_bytes(response) + b"\n")
+        stdout.write(response + b"\n")
         stdout.flush()
 
 
@@ -61,12 +65,11 @@ class _TcpHandler(socketserver.StreamRequestHandler):
                 try:
                     obj = wire.read_block(self.rfile)
                 except ProtocolError as exc:
-                    error = wire._error_response(None, wire.PARSE_ERROR, str(exc))
-                    self.connection.sendall(wire.frame_block(error))
+                    self.connection.sendall(wire.frame_body(_parse_error(str(exc))))
                     return
                 if obj is None:
                     return
-                self.connection.sendall(wire.frame_block(dispatcher.handle(obj)))
+                self.connection.sendall(wire.frame_body(dispatcher.answer(obj)))
         except OSError:
             return  # the client reset the connection, or shutdown() closed it
 

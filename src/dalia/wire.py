@@ -163,7 +163,11 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 def frame_block(obj: dict) -> bytes:
     """Length-prefixed message (TCP transport): decimal byte count, CRLF CRLF, body."""
-    body = canonical_bytes(obj)
+    return frame_body(canonical_bytes(obj))
+
+
+def frame_body(body: bytes) -> bytes:
+    """``frame_block`` of a message already encoded as ``body``."""
     return b"%d\r\n\r\n%s" % (len(body), body)
 
 
@@ -236,7 +240,9 @@ class ServerConfig(_Value):
         ``parse_capability`` built has passed its checks and is not
         validated again."""
         problems: list[str] = []
-        if not is_identifier(self.server_id):
+        if not isinstance(self.server_id, str):
+            problems.append("server_id must be a string")
+        elif not is_identifier(self.server_id):
             problems.append(f"server_id is not a lowercase identifier: {self.server_id!r}")
         declared = {cap.capability_id for cap in self.capabilities}
         if len(declared) != len(self.capabilities):
@@ -268,11 +274,6 @@ def parse_server_config(document: Any) -> ServerConfig:
         raise ConfigInvalid(exc.violations) from exc
 
     problems: list[str] = []
-    server_id = data.get("server_id")
-    if not isinstance(server_id, str):
-        problems.append("server_id must be a string")
-        server_id = ""
-
     unknown = set(data) - {"server_id", "capabilities", "tasks", "handlers"}
     if unknown:
         problems.append(f"unexpected config fields: {sorted(unknown)}")
@@ -313,7 +314,7 @@ def parse_server_config(document: Any) -> ServerConfig:
         handlers[cid] = HandlerSpec(script=tuple(script), fail_on=tuple(fail_on))
 
     config = ServerConfig(
-        server_id=server_id,
+        server_id=data.get("server_id"),
         capabilities=tuple(parsed["capabilities"]),
         tasks=tuple(parsed["tasks"]),
         handlers=handlers,
@@ -344,6 +345,10 @@ class _Dispatcher:
         (InvalidServerId, DIR_INVALID_SERVER_ID),
     )
 
+    #: methods whose result reads no params and changes only with the state;
+    #: a tuple, so that a method that is any JSON value can be looked up
+    _ENCODED_ONCE: tuple[str, ...] = ()
+
     def handle(self, obj: Any) -> dict:
         """Process one decoded request object into a response object."""
         try:
@@ -367,6 +372,19 @@ class _Dispatcher:
             return _error_response(request_id, INTERNAL_ERROR, str(exc))
         return {"jsonrpc": JSONRPC_VERSION, "id": request_id, "result": result}
 
+    def answer(self, obj: Any) -> bytes:
+        """``canonical_bytes(self.handle(obj))``; an ``_ENCODED_ONCE`` result
+        is encoded once per state and spliced in after the ``int`` id."""
+        if isinstance(obj, dict) and obj.get("method") in self._ENCODED_ONCE:
+            try:
+                request_id, method, _ = decode_request(obj)
+            except ProtocolError:
+                pass
+            else:
+                result = self._encoded_result(method)
+                return b'{"jsonrpc":"2.0","id":%d,"result":%s}' % (request_id, result)
+        return canonical_bytes(self.handle(obj))
+
 
 class WireServer(_Dispatcher):
     """Serves one server configuration: capability, task, and invoke methods.
@@ -381,12 +399,21 @@ class WireServer(_Dispatcher):
         self._lock = threading.Lock()
         self._invocations: dict[CapabilityId, int] = {}
         self._capabilities = {cap.capability_id.render(): cap for cap in config.capabilities}
+        self._encoded: dict[str, bytes] = {}
         self._methods = {
             "dalia/server_info": self._server_info,
             "dalia/list_capabilities": self._list_capabilities,
             "atdp/list_tasks": self._list_tasks,
             "dalia/invoke": self._invoke,
         }
+
+    _ENCODED_ONCE = ("dalia/server_info", "dalia/list_capabilities", "atdp/list_tasks")
+
+    def _encoded_result(self, method: str) -> bytes:
+        """Encoded on first request: the configuration never changes."""
+        if method not in self._encoded:
+            self._encoded[method] = canonical_bytes(self._methods[method]({}))
+        return self._encoded[method]
 
     def _server_info(self, params: dict) -> dict:
         return {"server_id": self.config.server_id}
@@ -441,6 +468,11 @@ class DirectoryService(_Dispatcher):
     @property
     def snapshot(self) -> DirectorySnapshot:
         return self._snapshot
+
+    _ENCODED_ONCE = ("directory/snapshot",)
+
+    def _encoded_result(self, method: str) -> bytes:  # once per snapshot value
+        return directory_ops.save_snapshot(self._snapshot)
 
     def _list_agents(self, params: dict) -> list[dict]:
         snapshot = self._snapshot

@@ -1,4 +1,5 @@
-"""A client wrapper that counts calls per method, for the closed-world tests."""
+"""Call counters: a client wrapper that counts calls per method, for the
+closed-world tests, and a function wrapper that counts its calls."""
 
 from __future__ import annotations
 
@@ -24,3 +25,15 @@ class CountingClient:
             count for method, count in self.calls.items()
             if method in DISCOVERY_CLASS_METHODS
         )
+
+
+class CountingFunction:
+    """Wraps a function and counts its calls, for the encode-once tests."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._inner(*args, **kwargs)

@@ -17,7 +17,8 @@ import pytest
 
 import dalia
 import scenario
-from dalia import cli, wire
+from counting import CountingFunction
+from dalia import cli, directory, wire
 from dalia.canonical import canonical_bytes
 from dalia.cli import main
 from dalia.directory import save_snapshot, snapshot_to_json
@@ -497,6 +498,21 @@ def test_run_loads_no_serving_code():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=30, cwd=REPO_ROOT
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_a_run_over_local_endpoints_encodes_no_discovery_answer(tmp_path, monkeypatch):
+    config = write_scenario_configs(tmp_path)
+    counters = {}
+    for owner, name in ((wire, "canonical_bytes"), (directory, "canonical_bytes"),
+                        (wire._Dispatcher, "answer")):
+        counters[owner, name] = CountingFunction(getattr(owner, name))
+        monkeypatch.setattr(owner, name, counters[owner, name])
+    code, _ = run_cli(
+        ["run", "--config", str(config), "--intent", "book_restaurant",
+         "--inputs", *SCENARIO_INPUT_ARGS]
+    )
+    assert code == 0
+    assert [counter.calls for counter in counters.values()] == [0, 0, 0]
 
 
 def test_pipeline_over_tcp_endpoints(tmp_path):

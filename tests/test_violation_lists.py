@@ -202,7 +202,6 @@ def test_server_config_problems_from_every_part_in_order():
     doc["handlers"]["restaurant.search"] = {"script": [1], "fail_on": [0, "x"]}
     doc["handlers"]["restaurant.reserve"] = {"bogus": 1}
     assert _violations(ConfigInvalid, parse_server_config, doc) == [
-        "server_id must be a string",
         "unexpected config fields: ['colour']",
         "capabilities[3]: capability_id name is not a lowercase identifier: 'Y'",
         "capabilities[3]: inputs[0] is not a lowercase identifier: 'Q'",
@@ -213,7 +212,7 @@ def test_server_config_problems_from_every_part_in_order():
         "handler key must have exactly two dot-separated segments: 'a.b.c'",
         "handler script for no.such must be a list of output maps",
         "handler fail_on for no.such must be a list of integers",
-        "server_id is not a lowercase identifier: ''",
+        "server_id must be a string",
         "duplicate capability ids declared by this server",
         "task t.u references undeclared capability no.such",
         "handler script for restaurant.search must be a list of output maps",
@@ -226,6 +225,8 @@ def test_server_config_problems_from_every_part_in_order():
     "document, expected",
     [
         ({"server_id": "s", "capabilities": [], "tasks": [], "handlers": []}, "handlers must be an object"),
+        ({"server_id": 5}, "server_id must be a string"),
+        ({}, "server_id must be a string"),
         (
             b"\xff",
             "server config document is not strict JSON: 'utf-8' codec can't decode "

@@ -13,6 +13,17 @@ exits 1, so the script doubles as a correctness smoke test:
 
     PYTHONPATH=src python3 tools/scale.py --sizes 10 100
 
+The ``wire`` section times the wire layers on a ``plan_large``-sized answer:
+``dalia/list_capabilities`` of one server declaring the three shapes at 120
+nodes each (360 capabilities, 3 tasks). Each figure is the best of the
+repeats, in microseconds per call: ``frame_block`` and ``read_block`` of that
+response, ``handle`` followed by ``canonical_bytes`` (what a byte transport
+spent per request before answers were encoded once) against ``answer``, a
+``LocalClient.call``, and a ``TcpClient.call`` over loopback to an in-process
+TCP server. It also checks that ``answer`` gives ``canonical_bytes(handle(...))``
+for every method of that server and of its directory, before and after a
+directory write; a difference exits 1.
+
 ``--compare PARENT CHANGE`` times two source trees instead, each in fresh
 processes with ``PYTHONPATH=<tree>/src``, alternating which runs first, and
 prints every run and the per-side medians as JSON:
@@ -23,6 +34,7 @@ prints every run and the per-side medians as JSON:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -30,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 
 SHAPES = ("chain", "fanin", "diamond")
 PHASES = ("discover", "plan", "validate", "execute")
@@ -156,10 +169,87 @@ def measure(kind: str, n: int, repeats: int) -> dict:
     return result
 
 
-def run_here(sizes: list[int], repeats: int) -> dict:
+# Calls per timed batch in the wire section; a figure is the fastest batch's mean.
+WIRE_BATCH = 40
+
+
+def measure_wire(repeats: int) -> dict:
+    """The ``wire`` section (see the module docstring); raises CheckFailed
+    when an ``answer`` differs from the encoded ``handle``."""
+    from dalia.canonical import canonical_bytes
+    from dalia.directory import load_snapshot
+    from dalia.serve import TcpServerHandle
+    from dalia.wire import (
+        DirectoryService,
+        LocalClient,
+        TcpClient,
+        WireServer,
+        frame_block,
+        make_request,
+        parse_server_config,
+        read_block,
+    )
+
+    if not hasattr(WireServer, "answer"):
+        return {}  # a tree from before answers were encoded once (``--compare``)
+    config: dict = {"server_id": SERVER, "capabilities": [], "tasks": [], "handlers": {}}
+    snapshot: dict = {"origin": "scale", "agents": {}, "server_capabilities": {SERVER: []}}
+    for kind in SHAPES:
+        shape_config, shape_snapshot = _documents(kind, 120)
+        config["capabilities"] += shape_config["capabilities"]
+        config["tasks"] += shape_config["tasks"]
+        snapshot["agents"].update(shape_snapshot["agents"])
+        snapshot["server_capabilities"][SERVER] += shape_snapshot["server_capabilities"][SERVER]
+    server = WireServer(parse_server_config(config))
+    directory = DirectoryService(load_snapshot(snapshot))
+
+    def check_answers(dispatcher) -> None:
+        # Without params, a write or an invoke is an error response and changes nothing.
+        for request_id, method in enumerate(sorted(dispatcher._methods)):
+            request = make_request(request_id, method, {})
+            _check(
+                dispatcher.answer(request) == canonical_bytes(dispatcher.handle(request)),
+                f"wire: answer to {method} differs from the encoded handle",
+            )
+
+    check_answers(server)
+    check_answers(directory)
+    record = {"agent_id": "writer", "role": "scale", "domains": [], "accessible_servers": [SERVER]}
+    directory.answer(make_request(0, "directory/register_agent", {"record": record}))
+    check_answers(directory)
+
+    request = make_request(1, "dalia/list_capabilities", {})
+    response = server.handle(request)
+    frame = frame_block(response)
+
+    def best_us(call) -> float:
+        runs = timeit.Timer(call).repeat(repeat=repeats, number=WIRE_BATCH)
+        return round(min(runs) / WIRE_BATCH * 1e6, 2)
+
+    local = LocalClient(server)
+    handle = TcpServerHandle(server, "127.0.0.1:0")
+    tcp = TcpClient(handle.address)
+    try:
+        tcp_call_us = best_us(lambda: tcp.call("dalia/list_capabilities"))
+    finally:
+        tcp.close()
+        handle.shutdown()
     return {
-        f"{kind}/{n}": measure(kind, n, repeats) for n in sizes for kind in SHAPES
+        "capabilities": len(config["capabilities"]),
+        "answer_bytes": len(server.answer(request)),
+        "frame_block_us": best_us(lambda: frame_block(response)),
+        "read_block_us": best_us(lambda: read_block(io.BytesIO(frame))),
+        "handle_encode_us": best_us(lambda: canonical_bytes(server.handle(request))),
+        "answer_us": best_us(lambda: server.answer(request)),
+        "local_call_us": best_us(lambda: local.call("dalia/list_capabilities")),
+        "tcp_call_us": tcp_call_us,
     }
+
+
+def run_here(sizes: list[int], repeats: int) -> dict:
+    result = {f"{kind}/{n}": measure(kind, n, repeats) for n in sizes for kind in SHAPES}
+    result["wire"] = measure_wire(repeats)
+    return result
 
 
 def _machine() -> dict:

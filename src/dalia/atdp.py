@@ -22,6 +22,7 @@ from .capabilities import (
     check_fields,
     check_token_list,
     is_identifier,
+    listed,
     load_document,
     parse_capability_id,
     raise_aggregated,
@@ -43,12 +44,13 @@ class TaskDeclaration(_Value):
         object.__setattr__(self, "capabilities", capabilities)
 
     def to_json(self) -> dict:
+        pool = self.capabilities
         return {
             "task_id": self.task_id.render(),
             "intent": self.intent,
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "capabilities": [cid.render() for cid in self.capabilities],
+            "inputs": listed(self.inputs),
+            "outputs": listed(self.outputs),
+            "capabilities": [cid.render() for cid in pool] if type(pool) is tuple else pool,
         }
 
 

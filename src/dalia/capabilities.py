@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import threading
 from functools import total_ordering
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, TypeVar
 
 from .canonical import strict_loads
 from .errors import (
@@ -127,8 +127,6 @@ class Capability(_Value):
     the known-fact of each output).
     """
 
-    _checked = False  # see is_checked
-
     def __init__(self, capability_id: CapabilityId, role: str, domain: str,
                  inputs: tuple[str, ...], outputs: tuple[str, ...],
                  preconditions: tuple[str, ...] = (), postconditions: tuple[str, ...] = ()):
@@ -146,15 +144,21 @@ class Capability(_Value):
 
     def to_json(self) -> dict:
         """JSON document in the canonical field order."""
+        as_list = list if self._checked else listed  # a parsed value holds tuples
         return {
             "capability_id": self.capability_id.render(),
             "role": self.role,
             "domain": self.domain,
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "preconditions": list(self.preconditions),
-            "postconditions": list(self.postconditions),
+            "inputs": as_list(self.inputs),
+            "outputs": as_list(self.outputs),
+            "preconditions": as_list(self.preconditions),
+            "postconditions": as_list(self.postconditions),
         }
+
+
+def listed(tokens: Any) -> Any:
+    """A list field as its document holds it: a tuple or list as a fresh list, else as is."""
+    return list(tokens) if type(tokens) in (tuple, list) else tokens
 
 
 def load_document(document: Any, kind: str) -> dict:
@@ -185,10 +189,10 @@ class DocumentMemo:
     canonical document of the value kept under its kind and id: a hit is one
     read and one comparison, writes nothing, and returns the same immutable
     value. Every miss runs the full parser, and only a value it returns is
-    kept, with the canonical document ``render`` builds from that value, never
-    the caller's object; so a caller that mutates its document and parses it
-    again gets a result that reflects the change. An id that is not a string
-    is never kept.
+    marked (see ``is_checked``) and kept, with the canonical document
+    ``render`` builds from that value, never the caller's object; so a caller
+    that mutates its document and parses it again gets a result that reflects
+    the change. An id that is not a string is never kept.
 
     The memo keeps at most ``size`` values, whose canonical documents hold at
     most ``budget`` characters in all (the lengths of their strings, dict keys
@@ -228,6 +232,7 @@ class DocumentMemo:
         if entry is not None and entry[0] == data:
             return entry[1]
         value = parser()
+        object.__setattr__(value, "_checked", True)  # see is_checked
         document = render(value)
         text = _text_length(document)
         if text <= self.budget:
@@ -332,48 +337,34 @@ def _parse_fields(data: dict) -> Capability:
             lists[name] = check_token_list(data[name], name, schema, invariant)
 
     if {"inputs", "outputs", "postconditions"} <= lists.keys():
-        invariant += _capability_invariants(
-            lists["inputs"], lists["outputs"], lists["postconditions"]
-        )
+        if not set(lists["inputs"]).isdisjoint(lists["outputs"]):
+            overlap = sorted(set(lists["inputs"]).intersection(lists["outputs"]))
+            invariant += [f"slot {slot!r} appears in both inputs and outputs" for slot in overlap]
+        if not lists["outputs"] and not lists["postconditions"]:
+            invariant.append("no observable effect: outputs and postconditions both empty")
 
     raise_aggregated(schema, invariant)
     assert capability_id is not None
     tokens = (tuple(lists[name]) for name in CAPABILITY_FIELDS[3:])
-    cap = Capability(capability_id, data["role"], data["domain"], *tokens)
-    object.__setattr__(cap, "_checked", True)  # see is_checked
-    return cap
+    return Capability(capability_id, data["role"], data["domain"], *tokens)
 
 
-def _capability_invariants(
-    inputs: Sequence[str], outputs: Sequence[str], postconditions: Sequence[str]
-) -> list[str]:
-    problems = [] if set(inputs).isdisjoint(outputs) else [
-        f"slot {slot!r} appears in both inputs and outputs"
-        for slot in sorted(set(inputs).intersection(outputs))
-    ]
-    if not outputs and not postconditions:
-        problems.append("no observable effect: outputs and postconditions both empty")
-    return problems
+def is_checked(value: _Value) -> bool:
+    """True when ``parse_capability``, ``parse_task`` or ``load_snapshot`` built
+    ``value``; a copy made by ``replace``, ``copy`` or ``pickle`` is not."""
+    return value._checked
 
 
-def is_checked(cap: Capability) -> bool:
-    """True when ``parse_capability`` built ``cap``, so it has passed every
-    check ``validate_capability`` makes; a copy made by ``replace``,
-    ``copy`` or ``pickle`` is not marked."""
-    return cap._checked
+def parser_problems(parse_fields: Callable[[dict], Any], document: dict) -> list[str]:
+    """What ``parse_fields`` refuses in ``document``, in its words. A value built
+    in code is checked by this on its rendering, so each rule is written once."""
+    try:
+        parse_fields(document)
+    except ValidationError as exc:
+        return exc.violations
+    return []
 
 
 def validate_capability(cap: Capability) -> ValidationReport:
-    """Re-check all invariants on a programmatically built Capability."""
-    report = ValidationReport()
-    report.violations += parse_capability_id(cap.capability_id.render())[1]
-    for name in ("inputs", "outputs", "preconditions", "postconditions"):
-        seen: set[str] = set()
-        for token in getattr(cap, name):
-            if not is_identifier(token):
-                report.add(f"{name} entry is not a lowercase identifier: {token!r}")
-            if token in seen:
-                report.add(f"duplicate entry {token!r} in {name}")
-            seen.add(token)
-    report.violations += _capability_invariants(cap.inputs, cap.outputs, cap.postconditions)
-    return report
+    """Every rule ``parse_capability`` checks, run on ``cap.to_json()``."""
+    return ValidationReport(parser_problems(_parse_fields, cap.to_json()))

@@ -18,6 +18,7 @@ from .capabilities import (
     DOCUMENT_MEMO,
     CapabilityId,
     is_identifier,
+    listed,
     load_document,
     parse_capability_id,
 )
@@ -49,8 +50,8 @@ class AgentRecord(_Value):
         return {
             "agent_id": self.agent_id,
             "role": self.role,
-            "domains": list(self.domains),
-            "accessible_servers": list(self.accessible_servers),
+            "domains": listed(self.domains),
+            "accessible_servers": listed(self.accessible_servers),
         }
 
 

@@ -15,6 +15,8 @@ class _Value:
     rebuild it through ``__init__``, so nothing derived or stashed on the
     original is carried over."""
 
+    _checked = False  # a document parser's mark; see capabilities.is_checked
+
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = fields = code.co_varnames[1 : code.co_argcount]

@@ -21,6 +21,7 @@ import threading
 from functools import cached_property
 from typing import Any, Callable
 
+from . import atdp
 from . import directory as directory_ops
 from .atdp import TaskDeclaration, parse_task
 from .canonical import canonical_bytes, sorted_map, strict_loads
@@ -32,6 +33,7 @@ from .capabilities import (
     load_document,
     parse_capability,
     parse_capability_id,
+    parser_problems,
     validate_capability,
 )
 from .directory import DirectorySnapshot, parse_agent_record, snapshot_to_json
@@ -236,9 +238,9 @@ class ServerConfig(_Value):
     @cached_property
     def problems(self) -> list[str]:
         """Semantic defects, each once in first-seen order; empty when
-        startable. Computed once per config; read-only. A capability that
-        ``parse_capability`` built has passed its checks and is not
-        validated again."""
+        startable. Computed once per config; read-only. A capability or task
+        that its parser built has passed its checks and is not checked
+        again; any other is checked by that parser, on its ``to_json()``."""
         problems: list[str] = []
         if not isinstance(self.server_id, str):
             problems.append("server_id must be a string")
@@ -253,7 +255,9 @@ class ServerConfig(_Value):
             report = validate_capability(cap)
             problems += [f"capability {cap.capability_id}: {v}" for v in report.violations]
         for task in self.tasks:
-            for cid in task.capabilities:
+            broken = [] if is_checked(task) else parser_problems(atdp._parse_fields, task.to_json())
+            problems += [f"task {task.task_id}: {v}" for v in broken]
+            for cid in () if broken else task.capabilities:  # a broken pool may be no list
                 if cid not in declared:
                     problems.append(f"task {task.task_id} references undeclared capability {cid}")
         for cid, spec in self.handlers.items():
@@ -451,10 +455,18 @@ class WireServer(_Dispatcher):
 
 
 class DirectoryService(_Dispatcher):
-    """Serves directory methods over the current snapshot; writes serialized."""
+    """Serves directory methods over the current snapshot; writes serialized.
+
+    Startup refuses a snapshot that ``load_snapshot`` would refuse.
+    """
 
     def __init__(self, snapshot: DirectorySnapshot | None = None):
         self._snapshot = snapshot if snapshot is not None else directory_ops.empty_snapshot()
+        if not is_checked(self._snapshot):
+            stored = directory_ops._stored_form(self._snapshot)
+            problems = parser_problems(directory_ops._load_fields, stored)
+            if problems:
+                raise ConfigInvalid(problems)
         self._lock = threading.Lock()
         self._methods = {
             "directory/list_agents": self._list_agents,
@@ -520,9 +532,12 @@ class DirectoryService(_Dispatcher):
 
 def parse_tcp_address(address: str) -> tuple[str, int]:
     host, _, port_text = address.rpartition(":")
-    if not host or not port_text.isdigit():
+    if not host or not port_text.isascii() or not port_text.isdigit():
         raise BindFailure(address, "expected host:port")
-    return host, int(port_text)
+    port = port_text.lstrip("0") or "0"
+    if len(port) > 5 or int(port) > 65535:  # the length test keeps int() off huge strings
+        raise BindFailure(address, "port must be 0-65535")
+    return host, int(port)
 
 
 # Seconds a TCP client waits to connect and then for each send or read; a

@@ -484,6 +484,36 @@ def test_directory_serve_bind_failure_exits_2_whether_or_not_the_snapshot_saves(
     assert (path.read_bytes() if path.exists() else None) == before
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["server", "serve", "--config", "configs/food_server.json"], ["directory", "serve"]],
+    ids=["server", "directory"],
+)
+def test_serve_on_an_out_of_range_port_exits_2_and_saves_nothing(tmp_path, command):
+    path = tmp_path / "directory.json"
+    snapshot = ["--snapshot", str(path)] if command[0] == "directory" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "dalia.cli", *command, *snapshot, "--tcp", "127.0.0.1:99999"],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=30,
+        cwd=REPO_ROOT,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "BindFailure: cannot bind 127.0.0.1:99999: port must be 0-65535\n"
+    assert not path.exists()
+
+
+def test_a_tcp_endpoint_with_an_out_of_range_port_exits_2(tmp_path, capsys):
+    config = tmp_path / "orchestrator.json"
+    config.write_text(json.dumps({"servers": ["tcp:127.0.0.1:70000"], "directory": "tcp:h:1"}))
+    assert run_cli(["discover", "--config", str(config), "--inputs"])[0] == 2
+    assert capsys.readouterr().err == (
+        "BindFailure: cannot bind 127.0.0.1:70000: port must be 0-65535\n"
+    )
+
+
 def test_run_loads_no_serving_code():
     script = (
         "import io, sys\n"

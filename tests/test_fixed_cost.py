@@ -15,13 +15,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scenario
-from dalia import wire
+from dalia import atdp, capabilities, directory, wire
 from dalia.canonical import canonical_bytes, strict_loads
-from dalia.capabilities import Capability, CapabilityId, parse_capability_id, slot_known_fact
+from dalia.capabilities import (
+    DOCUMENT_MEMO,
+    Capability,
+    CapabilityId,
+    parse_capability_id,
+    slot_known_fact,
+)
+from dalia.directory import load_snapshot, save_snapshot
 from dalia.errors import ConfigInvalid, ProtocolError, WireError
 from dalia.executor import _run_node
 from dalia.planner import Node
-from dalia.wire import WireServer, make_request, parse_server_config, read_block
+from dalia.wire import DirectoryService, WireServer, make_request, parse_server_config, read_block
 
 # -- framing: the header read by line against the byte loop ---------------------------
 
@@ -224,7 +231,7 @@ def test_capability_facts_follow_its_fields_after_replace_and_pickling():
     assert cap == cap.replace() and hash(cap) == hash(cap.replace())
 
 
-# -- server configs: each parsed capability validated once ------------------------------
+# -- server configs and snapshots: each parsed value checked once by its parser -----------
 
 
 def _counting_validations(monkeypatch) -> Counter:
@@ -239,12 +246,46 @@ def _counting_validations(monkeypatch) -> Counter:
     return counts
 
 
+def _counting_parsers(monkeypatch) -> Counter:
+    """Calls of the capability, task and snapshot field parsers, by kind."""
+    counts: Counter = Counter()
+    for kind, module, name in (
+        ("capability", capabilities, "_parse_fields"),
+        ("task", atdp, "_parse_fields"),
+        ("snapshot", directory, "_load_fields"),
+    ):
+        def counted(data, kind=kind, original=getattr(module, name)):
+            counts[kind] += 1
+            return original(data)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 def test_a_parsed_config_runs_no_second_validation(monkeypatch):
     validated = _counting_validations(monkeypatch)
+    parsed = _counting_parsers(monkeypatch)
+    DOCUMENT_MEMO.clear()  # so that each document is parsed once, here
     config = parse_server_config(scenario.food_server_doc())
     WireServer(config)
-    assert config.capabilities and config.problems == []
+    snapshot = load_snapshot(save_snapshot(scenario.scenario_directory()))
+    DirectoryService(snapshot)
+    assert config.capabilities and config.tasks and config.problems == []
     assert validated == Counter()
+    assert parsed == Counter(
+        capability=len(config.capabilities), task=len(config.tasks), snapshot=1
+    )
+
+
+def test_a_hand_built_task_or_snapshot_runs_its_parser_once(monkeypatch):
+    config = parse_server_config(scenario.food_server_doc())
+    snapshot = scenario.scenario_directory().replace()
+    parsed = _counting_parsers(monkeypatch)
+    config = config.replace(tasks=tuple(task.replace() for task in config.tasks))
+    WireServer(config)
+    WireServer(config)
+    DirectoryService(snapshot)
+    assert parsed == Counter(task=len(config.tasks), snapshot=1)
 
 
 def test_a_hand_built_capability_in_a_parsed_config_is_still_refused(monkeypatch):
@@ -256,7 +297,7 @@ def test_a_hand_built_capability_in_a_parsed_config_is_still_refused(monkeypatch
     with pytest.raises(ConfigInvalid) as excinfo:
         WireServer(config)
     assert excinfo.value.violations == [
-        "capability restaurant.search: inputs entry is not a lowercase identifier: 'Not-A-Slot'"
+        "capability restaurant.search: inputs[0] is not a lowercase identifier: 'Not-A-Slot'"
     ]
     assert validated == Counter({search.capability_id: 1})
 

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import scenario
-from dalia.atdp import FeasibilityReport, TaskDeclaration
+from dalia.atdp import FeasibilityReport, TaskDeclaration, parse_task
 from dalia.capabilities import Capability, CapabilityId, is_checked, parse_capability
 from dalia.cli import OrchestratorConfig
 from dalia.directory import AgentRecord, DirectorySnapshot
@@ -193,6 +193,14 @@ def test_a_parsed_capability_is_checked_and_its_copies_are_not():
     assert is_checked(cap)
     for duplicate in (cap.replace(), copy.copy(cap), pickle.loads(pickle.dumps(cap))):
         assert duplicate == cap and not is_checked(duplicate)
+
+
+def test_a_parsed_task_or_loaded_snapshot_is_checked_and_its_copies_are_not():
+    for value in (parse_task(scenario.food_server_doc()["tasks"][0]), scenario.scenario_directory()):
+        assert is_checked(value)
+        for duplicate in (value.replace(), copy.copy(value), pickle.loads(pickle.dumps(value))):
+            assert duplicate == value and not is_checked(duplicate)
+    assert not any(map(is_checked, (CAP, TASK, SNAPSHOT)))
 
 
 def test_replace_on_a_graph_carries_none_of_its_stashed_checks(scenario_context, scenario_goal):

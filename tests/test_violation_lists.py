@@ -247,7 +247,7 @@ def _bad_slot() -> Capability:
 def test_wire_server_refuses_a_hand_built_capability_with_a_bad_slot():
     config = ServerConfig("mcp_food_server", (_bad_slot(),), ())
     assert _violations(ConfigInvalid, WireServer, config) == [
-        "capability restaurant.search: inputs entry is not a lowercase identifier: 'Not-A-Slot'"
+        "capability restaurant.search: inputs[1] is not a lowercase identifier: 'Not-A-Slot'"
     ]
 
 
@@ -258,7 +258,7 @@ def test_wire_server_lists_every_problem_of_a_hand_built_config():
     assert _violations(ConfigInvalid, WireServer, config) == [
         "server_id is not a lowercase identifier: 'Bad Server'",
         "duplicate capability ids declared by this server",
-        "capability restaurant.search: inputs entry is not a lowercase identifier: 'Not-A-Slot'",
+        "capability restaurant.search: inputs[1] is not a lowercase identifier: 'Not-A-Slot'",
         "capability Rest.x.y: capability_id must have exactly two dot-separated segments: 'Rest.x.y'",
         "capability Rest.x.y: duplicate entry 'a' in inputs",
         "capability Rest.x.y: slot 'a' appears in both inputs and outputs",

@@ -47,6 +47,7 @@ from dalia.wire import (
     frame_block,
     make_request,
     parse_server_config,
+    parse_tcp_address,
     read_block,
     response_result,
 )
@@ -922,6 +923,19 @@ def test_stdio_line_longer_than_the_limit_gets_a_parse_error_and_the_next_line_i
 def test_bind_failure_on_bad_address():
     with pytest.raises(BindFailure):
         TcpServerHandle(_food_server(), "not-an-address")
+
+
+@pytest.mark.parametrize(
+    "port",
+    ["65536", "99999", "1" * 5000, "²", "٣"],
+    ids=["65536", "99999", "5000-digits", "superscript-two", "arabic-indic-three"],
+)
+def test_a_port_that_is_not_0_to_65535_is_a_bind_failure(port):
+    with pytest.raises(BindFailure):
+        TcpServerHandle(_food_server(), f"127.0.0.1:{port}")
+    with pytest.raises(BindFailure):
+        TcpClient(f"127.0.0.1:{port}")
+    assert parse_tcp_address("h:0") == ("h", 0) and parse_tcp_address("h:065535") == ("h", 65535)
 
 
 def test_connect_server_local_endpoint(tmp_path):

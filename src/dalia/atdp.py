@@ -25,6 +25,7 @@ from .capabilities import (
     listed,
     load_document,
     parse_capability_id,
+    parser_problems,
     raise_aggregated,
 )
 from .errors import _Value
@@ -50,7 +51,7 @@ class TaskDeclaration(_Value):
             "intent": self.intent,
             "inputs": listed(self.inputs),
             "outputs": listed(self.outputs),
-            "capabilities": [cid.render() for cid in pool] if type(pool) is tuple else pool,
+            "capabilities": [cid.render() for cid in pool] if type(pool) in (tuple, list) else pool,
         }
 
 
@@ -81,6 +82,11 @@ def parse_task(document: Any) -> TaskDeclaration:
     return DOCUMENT_MEMO.parse(
         "task", data.get("task_id"), data, lambda: _parse_fields(data), TaskDeclaration.to_json
     )
+
+
+def task_problems(task: TaskDeclaration) -> list[str]:
+    """Every rule ``parse_task`` checks, run on ``task.to_json()``."""
+    return parser_problems(_parse_fields, task.to_json())
 
 
 def _parse_fields(data: dict) -> TaskDeclaration:

@@ -144,7 +144,7 @@ class Capability(_Value):
 
     def to_json(self) -> dict:
         """JSON document in the canonical field order."""
-        as_list = list if self._checked else listed  # a parsed value holds tuples
+        as_list = list if self._checked else listed  # parsed values hold tuples; list() is cheaper
         return {
             "capability_id": self.capability_id.render(),
             "role": self.role,
@@ -350,14 +350,12 @@ def _parse_fields(data: dict) -> Capability:
 
 
 def is_checked(value: _Value) -> bool:
-    """True when ``parse_capability``, ``parse_task`` or ``load_snapshot`` built
-    ``value``; a copy made by ``replace``, ``copy`` or ``pickle`` is not."""
+    """True when a document parser built ``value``; a replace, copy or pickle copy is not."""
     return value._checked
 
 
 def parser_problems(parse_fields: Callable[[dict], Any], document: dict) -> list[str]:
-    """What ``parse_fields`` refuses in ``document``, in its words. A value built
-    in code is checked by this on its rendering, so each rule is written once."""
+    """What ``parse_fields`` refuses in ``document``, in its own words."""
     try:
         parse_fields(document)
     except ValidationError as exc:

@@ -21,6 +21,7 @@ from .capabilities import (
     listed,
     load_document,
     parse_capability_id,
+    parser_problems,
 )
 from .errors import (
     DirectoryError,
@@ -302,6 +303,11 @@ def load_snapshot(data: Any) -> DirectorySnapshot:
     return DOCUMENT_MEMO.parse(
         "snapshot", data.get("origin"), stored, lambda: _load_fields(stored), _stored_form
     )
+
+
+def snapshot_problems(snapshot: DirectorySnapshot) -> list[str]:
+    """Every rule ``load_snapshot`` checks, run on the snapshot's stored form."""
+    return parser_problems(_load_fields, _stored_form(snapshot))
 
 
 def _load_fields(data: dict) -> DirectorySnapshot:

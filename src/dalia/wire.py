@@ -21,9 +21,8 @@ import threading
 from functools import cached_property
 from typing import Any, Callable
 
-from . import atdp
 from . import directory as directory_ops
-from .atdp import TaskDeclaration, parse_task
+from .atdp import TaskDeclaration, parse_task, task_problems
 from .canonical import canonical_bytes, sorted_map, strict_loads
 from .capabilities import (
     Capability,
@@ -33,7 +32,6 @@ from .capabilities import (
     load_document,
     parse_capability,
     parse_capability_id,
-    parser_problems,
     validate_capability,
 )
 from .directory import DirectorySnapshot, parse_agent_record, snapshot_to_json
@@ -239,8 +237,7 @@ class ServerConfig(_Value):
     def problems(self) -> list[str]:
         """Semantic defects, each once in first-seen order; empty when
         startable. Computed once per config; read-only. A capability or task
-        that its parser built has passed its checks and is not checked
-        again; any other is checked by that parser, on its ``to_json()``."""
+        that no parser built is checked by its parser, on its ``to_json()``."""
         problems: list[str] = []
         if not isinstance(self.server_id, str):
             problems.append("server_id must be a string")
@@ -250,14 +247,13 @@ class ServerConfig(_Value):
         if len(declared) != len(self.capabilities):
             problems.append("duplicate capability ids declared by this server")
         for cap in self.capabilities:
-            if is_checked(cap):
-                continue
-            report = validate_capability(cap)
-            problems += [f"capability {cap.capability_id}: {v}" for v in report.violations]
+            if not is_checked(cap):
+                report = validate_capability(cap)
+                problems += [f"capability {cap.capability_id}: {v}" for v in report.violations]
         for task in self.tasks:
-            broken = [] if is_checked(task) else parser_problems(atdp._parse_fields, task.to_json())
-            problems += [f"task {task.task_id}: {v}" for v in broken]
-            for cid in () if broken else task.capabilities:  # a broken pool may be no list
+            if not is_checked(task):
+                problems += [f"task {task.task_id}: {v}" for v in task_problems(task)]
+            for cid in task.capabilities if type(task.capabilities) in (tuple, list) else ():
                 if cid not in declared:
                     problems.append(f"task {task.task_id} references undeclared capability {cid}")
         for cid, spec in self.handlers.items():
@@ -463,8 +459,7 @@ class DirectoryService(_Dispatcher):
     def __init__(self, snapshot: DirectorySnapshot | None = None):
         self._snapshot = snapshot if snapshot is not None else directory_ops.empty_snapshot()
         if not is_checked(self._snapshot):
-            stored = directory_ops._stored_form(self._snapshot)
-            problems = parser_problems(directory_ops._load_fields, stored)
+            problems = directory_ops.snapshot_problems(self._snapshot)
             if problems:
                 raise ConfigInvalid(problems)
         self._lock = threading.Lock()

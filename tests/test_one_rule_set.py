@@ -35,9 +35,10 @@ _IDS = st.builds(CapabilityId, _SEGMENTS, _SEGMENTS)
 _SERVERS = st.sampled_from(["s", "t", "Bad"])
 
 
-def _built(value):
-    """A drawn field as a value built in code holds it: a list as a tuple."""
-    return tuple(value) if isinstance(value, list) else value
+def _built(value, as_tuple=True):
+    """A drawn field as a value built in code holds it: a list as a tuple, or
+    as the list itself when ``as_tuple`` is false."""
+    return tuple(value) if as_tuple and isinstance(value, list) else value
 
 
 def _refusal(parse, document) -> list[str]:
@@ -89,8 +90,11 @@ def test_a_hand_built_capability_is_refused_as_its_document_is(cid, role, domain
     inputs=_FIELDS,
     outputs=_FIELDS,
     pool=st.one_of(_TOKENS, st.integers(-1, 1), st.lists(_IDS, max_size=3)),
+    as_tuple=st.booleans(),
 )
-def test_a_hand_built_task_is_refused_as_its_document_is(task_id, intent, inputs, outputs, pool):
+def test_a_hand_built_task_is_refused_as_its_document_is(
+    task_id, intent, inputs, outputs, pool, as_tuple
+):
     rendered = [str(cid) for cid in pool] if isinstance(pool, list) else pool
     document = {
         "task_id": str(task_id),
@@ -100,16 +104,18 @@ def test_a_hand_built_task_is_refused_as_its_document_is(task_id, intent, inputs
         "capabilities": rendered,
     }
     expected = _refusal(parse_task, document)
-    task = TaskDeclaration(task_id, intent, _built(inputs), _built(outputs), _built(pool))
-    # every pool id that is capability-id text is declared, so a task its
-    # parser accepts references only declared capabilities
-    declared = dict.fromkeys(
-        cid for cid in (pool if isinstance(pool, list) else ())
-        if not parse_capability_id(str(cid))[1]
-    )
+    fields = (_built(field, as_tuple) for field in (inputs, outputs, pool))
+    task = TaskDeclaration(task_id, intent, *fields)
+    # every pool id that is capability-id text is declared, so only an id the
+    # parser refuses is also listed as undeclared
+    ids = pool if isinstance(pool, list) else []
+    declared = dict.fromkeys(cid for cid in ids if not parse_capability_id(str(cid))[1])
+    undeclared = [f"references undeclared capability {cid}" for cid in ids if cid not in declared]
     capabilities = tuple(Capability(cid, "r", "d", (), ("done",)) for cid in declared)
     config = ServerConfig("s", capabilities, (task,))
-    assert _start_up(WireServer, config) == _prefixed(f"task {task_id}: ", expected)
+    assert _start_up(WireServer, config) == (
+        _prefixed(f"task {task_id}: ", expected) + _prefixed(f"task {task_id} ", undeclared)
+    )
 
 
 @st.composite

@@ -266,6 +266,16 @@ def test_wire_server_lists_every_problem_of_a_hand_built_config():
     ]
 
 
+def test_wire_server_lists_a_broken_task_and_its_undeclared_capability():
+    task = scenario.food_server_config().tasks[0].replace(intent="Not An Intent")
+    search = _bad_slot().replace(inputs=("location",))
+    config = ServerConfig("mcp_food_server", (search,), (task,))
+    assert _violations(ConfigInvalid, WireServer, config) == [
+        "task restaurant.booking: intent is not a lowercase identifier: 'Not An Intent'",
+        "task restaurant.booking references undeclared capability restaurant.reserve",
+    ]
+
+
 # -- directory snapshots and bindings ---------------------------------------------
 
 

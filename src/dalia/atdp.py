@@ -21,9 +21,11 @@ from .capabilities import (
     CapabilityId,
     check_fields,
     check_token_list,
+    id_type_problems,
     is_identifier,
     listed,
     load_document,
+    match_capability_ids,
     parse_capability_id,
     parser_problems,
     raise_aggregated,
@@ -86,7 +88,11 @@ def parse_task(document: Any) -> TaskDeclaration:
 
 def task_problems(task: TaskDeclaration) -> list[str]:
     """Every rule ``parse_task`` checks, run on ``task.to_json()``."""
-    return parser_problems(_parse_fields, task.to_json())
+    pool = task.capabilities if type(task.capabilities) in (tuple, list) else ()
+    problems = id_type_problems(
+        [("task_id", task.task_id), *((f"capabilities[{i}]", cid) for i, cid in enumerate(pool))]
+    )
+    return problems or parser_problems(_parse_fields, task.to_json())
 
 
 def _parse_fields(data: dict) -> TaskDeclaration:
@@ -113,6 +119,8 @@ def _parse_fields(data: dict) -> TaskDeclaration:
         raw = data["capabilities"]
         if not isinstance(raw, list):
             schema.append(f"capabilities must be a list, got {type(raw).__name__}")
+        elif raw and (parsed := match_capability_ids(raw)) is not None:
+            capability_ids = parsed
         else:
             for index, item in enumerate(raw):
                 cid, id_problems = parse_capability_id(item, label=f"capabilities[{index}]")

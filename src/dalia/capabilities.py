@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import threading
 from functools import total_ordering
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 from .canonical import strict_loads
 from .errors import (
@@ -33,8 +33,11 @@ from .errors import (
 )
 
 # Identifier grammar shared by slot names, fact tokens, intents, server ids
-# and both segments of a capability id.
-IDENTIFIER_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# and both segments of a capability id; a capability id is two of them
+# joined by one dot. ``\Z``, not ``$``: "a\n" is no identifier.
+IDENTIFIER = r"[a-z][a-z0-9_]*"
+IDENTIFIER_RE = re.compile(rf"{IDENTIFIER}\Z")
+CAPABILITY_ID_RE = re.compile(rf"({IDENTIFIER})\.({IDENTIFIER})\Z")
 
 # The document memo keeps at most MEMO_SIZE documents, whose text (see
 # DocumentMemo) is at most MEMO_TEXT_BUDGET characters in all: a long-running
@@ -102,6 +105,9 @@ def parse_capability_id(
     every rule the text violates, each prefixed by ``label``."""
     if not isinstance(text, str):
         return None, [f"{label} must be a string, got {type(text).__name__}"]
+    match = CAPABILITY_ID_RE.match(text)
+    if match:
+        return CapabilityId(*match.groups()), []
     segments = text.split(".")
     if len(segments) != 2:
         return None, [f"{label} must have exactly two dot-separated segments: {text!r}"]
@@ -110,7 +116,29 @@ def parse_capability_id(
         for part, segment in zip(("namespace", "name"), segments)
         if not is_identifier(segment)
     ]
-    return (None if problems else CapabilityId(*segments)), problems
+    return None, problems
+
+
+def match_capability_ids(values: list) -> list[CapabilityId] | None:
+    """``values`` as ids when every entry is capability-id text and none
+    repeats, in one pass; else None, and the caller words what is wrong."""
+    try:
+        matches = list(map(CAPABILITY_ID_RE.match, values))
+    except TypeError:  # an entry that is not a string
+        return None
+    if all(matches) and len(set(values)) == len(values):
+        return [CapabilityId(*match.groups()) for match in matches]
+    return None
+
+
+def id_type_problems(fields: Iterable[tuple[str, Any]]) -> list[str]:
+    """For a value built in code: each ``(label, value)`` whose value is not a
+    CapabilityId, which only a CapabilityId field can render."""
+    return [
+        f"{label} must be a CapabilityId, got {type(value).__name__}"
+        for label, value in fields
+        if not isinstance(value, CapabilityId)
+    ]
 
 
 def slot_known_fact(slot: str) -> str:
@@ -245,14 +273,18 @@ class DocumentMemo:
         return value
 
 
-def _text_length(document: Any) -> int:
+def _text_length(document: dict) -> int:
     """Characters in a canonical document's strings: dict keys and values,
     list entries (lists hold strings only)."""
-    if isinstance(document, str):
-        return len(document)
-    if isinstance(document, list):
-        return len("".join(document))
-    return sum(len(key) + _text_length(value) for key, value in document.items())
+    total = len("".join(document))
+    for value in document.values():
+        if isinstance(value, str):
+            total += len(value)
+        elif isinstance(value, list):
+            total += len("".join(value))
+        else:
+            total += _text_length(value)
+    return total
 
 
 # One memo for capability, task and snapshot documents: every goal of a
@@ -282,6 +314,11 @@ def check_token_list(
     if not isinstance(value, list):
         schema_problems.append(f"{label} must be a list, got {type(value).__name__}")
         return []
+    try:  # one pass over a valid list; a non-string entry raises
+        if all(map(IDENTIFIER_RE.match, value)) and len(set(value)) == len(value):
+            return value
+    except TypeError:
+        pass
     tokens = []
     for index, item in enumerate(value):
         if not isinstance(item, str):
@@ -331,10 +368,11 @@ def _parse_fields(data: dict) -> Capability:
         if tag in data and not isinstance(data[tag], str):
             schema.append(f"{tag} must be a string, got {type(data[tag]).__name__}")
 
-    lists: dict[str, list[str]] = {}
-    for name in ("inputs", "outputs", "preconditions", "postconditions"):
-        if name in data:
-            lists[name] = check_token_list(data[name], name, schema, invariant)
+    lists = {
+        name: check_token_list(data[name], name, schema, invariant)
+        for name in CAPABILITY_FIELDS[3:]
+        if name in data
+    }
 
     if {"inputs", "outputs", "postconditions"} <= lists.keys():
         if not set(lists["inputs"]).isdisjoint(lists["outputs"]):
@@ -345,8 +383,7 @@ def _parse_fields(data: dict) -> Capability:
 
     raise_aggregated(schema, invariant)
     assert capability_id is not None
-    tokens = (tuple(lists[name]) for name in CAPABILITY_FIELDS[3:])
-    return Capability(capability_id, data["role"], data["domain"], *tokens)
+    return Capability(capability_id, data["role"], data["domain"], *map(tuple, lists.values()))
 
 
 def is_checked(value: _Value) -> bool:
@@ -365,4 +402,5 @@ def parser_problems(parse_fields: Callable[[dict], Any], document: dict) -> list
 
 def validate_capability(cap: Capability) -> ValidationReport:
     """Every rule ``parse_capability`` checks, run on ``cap.to_json()``."""
-    return ValidationReport(parser_problems(_parse_fields, cap.to_json()))
+    problems = id_type_problems([("capability_id", cap.capability_id)])
+    return ValidationReport(problems or parser_problems(_parse_fields, cap.to_json()))

@@ -8,6 +8,7 @@ servers. Exit codes: 0 success, 1 usage or invalid configuration,
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import stat
@@ -293,5 +294,19 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_EXECUTION
 
 
+def run() -> int:
+    """Process entry (``python -m dalia.cli`` and the ``dalia`` script).
+
+    Freezes the heap once imports are done and again when ``main`` returns,
+    so no collector pass walks the start-up objects and interpreter exit
+    skips its full collections; what a serving process allocates later is
+    still collected. A ``main`` called in-process leaves GC state alone.
+    """
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -17,9 +17,11 @@ from .canonical import canonical_bytes
 from .capabilities import (
     DOCUMENT_MEMO,
     CapabilityId,
+    id_type_problems,
     is_identifier,
     listed,
     load_document,
+    match_capability_ids,
     parse_capability_id,
     parser_problems,
 )
@@ -70,8 +72,8 @@ class DirectorySnapshot(_Value):
         """Server id -> its bound ids rendered, keys sorted, built once per
         value. Callers copy them."""
         return {
-            server_id: tuple(map(CapabilityId.render, self.server_capabilities[server_id]))
-            for server_id in sorted(self.server_capabilities)
+            server_id: tuple(map(CapabilityId.render, ids)) if type(ids) in (tuple, list) else ids
+            for server_id, ids in sorted(self.server_capabilities.items())
         }
 
     @cached_property
@@ -269,7 +271,7 @@ def _stored_form(snapshot: DirectorySnapshot) -> dict:
             agent_id: snapshot.agents[agent_id].to_json()
             for agent_id in sorted(snapshot.agents)
         },
-        "server_capabilities": {server_id: list(ids) for server_id, ids in snapshot._bound.items()},
+        "server_capabilities": {server_id: listed(ids) for server_id, ids in snapshot._bound.items()},
     }
 
 
@@ -307,7 +309,13 @@ def load_snapshot(data: Any) -> DirectorySnapshot:
 
 def snapshot_problems(snapshot: DirectorySnapshot) -> list[str]:
     """Every rule ``load_snapshot`` checks, run on the snapshot's stored form."""
-    return parser_problems(_load_fields, _stored_form(snapshot))
+    problems = id_type_problems(
+        (f"server {server_id!r}: capability_id", cid)
+        for server_id, ids in snapshot.server_capabilities.items()
+        if type(ids) in (tuple, list)
+        for cid in ids
+    )
+    return problems or parser_problems(_load_fields, _stored_form(snapshot))
 
 
 def _load_fields(data: dict) -> DirectorySnapshot:
@@ -339,13 +347,12 @@ def _load_fields(data: dict) -> DirectorySnapshot:
             raise MalformedDocument([f"not a valid server id: {server_id!r}"])
         if not isinstance(cids, list):
             raise MalformedDocument([f"binding for {server_id!r} must be a list"])
-        parsed = []
-        for text in cids:
-            cid, id_problems = parse_capability_id(text)
-            if id_problems:
-                raise MalformedDocument([f"server {server_id!r}: {v}" for v in id_problems])
-            parsed.append(cid)
-        if len(set(parsed)) != len(parsed):
+        parsed = match_capability_ids(cids)
+        if parsed is None:  # word the first defect
+            for text in cids:
+                id_problems = parse_capability_id(text)[1]
+                if id_problems:
+                    raise MalformedDocument([f"server {server_id!r}: {v}" for v in id_problems])
             raise MalformedDocument([f"duplicate capability ids bound to {server_id!r}"])
         server_capabilities[server_id] = tuple(parsed)
 

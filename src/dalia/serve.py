@@ -7,6 +7,7 @@ serving code. Messages, framing and dispatch are ``dalia.wire``'s.
 from __future__ import annotations
 
 import contextlib
+import signal
 import socket
 import socketserver
 import sys
@@ -144,7 +145,20 @@ class TcpServerHandle:
 
 
 def serve(dispatcher: wire._Dispatcher, address: str | None, name: str) -> None:
-    """Serve on TCP at ``address`` until interrupted, or on stdio until EOF."""
+    """Serve on TCP at ``address`` until interrupted, or on stdio until EOF.
+
+    SIGTERM interrupts as SIGINT does, so the caller's clean-up (a
+    directory's snapshot save) runs and the process exits 0. Call it from
+    the main thread, where Python runs signal handlers.
+    """
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        _serve(dispatcher, address, name)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _serve(dispatcher: wire._Dispatcher, address: str | None, name: str) -> None:
     if not address:
         # A reader that closed its end of stdout ends the session, as EOF does.
         with contextlib.suppress(KeyboardInterrupt, BrokenPipeError):

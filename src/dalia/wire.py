@@ -243,8 +243,11 @@ class ServerConfig(_Value):
             problems.append("server_id must be a string")
         elif not is_identifier(self.server_id):
             problems.append(f"server_id is not a lowercase identifier: {self.server_id!r}")
-        declared = {cap.capability_id for cap in self.capabilities}
-        if len(declared) != len(self.capabilities):
+        ids = [  # an id that is not a CapabilityId is refused with its capability below
+            cap.capability_id for cap in self.capabilities if isinstance(cap.capability_id, CapabilityId)
+        ]
+        declared = set(ids)
+        if len(declared) != len(ids):
             problems.append("duplicate capability ids declared by this server")
         for cap in self.capabilities:
             if not is_checked(cap):
@@ -254,7 +257,7 @@ class ServerConfig(_Value):
             if not is_checked(task):
                 problems += [f"task {task.task_id}: {v}" for v in task_problems(task)]
             for cid in task.capabilities if type(task.capabilities) in (tuple, list) else ():
-                if cid not in declared:
+                if isinstance(cid, CapabilityId) and cid not in declared:
                     problems.append(f"task {task.task_id} references undeclared capability {cid}")
         for cid, spec in self.handlers.items():
             if cid not in declared:

@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import os
+import gc
 import shlex
+import signal
 import socket
 import subprocess
 import sys
@@ -21,7 +23,7 @@ from counting import CountingFunction
 from dalia import cli, directory, wire
 from dalia.canonical import canonical_bytes
 from dalia.cli import main
-from dalia.directory import save_snapshot, snapshot_to_json
+from dalia.directory import load_snapshot, save_snapshot, snapshot_to_json
 from dalia.serve import TcpServerHandle
 from dalia.wire import WireServer
 
@@ -400,6 +402,28 @@ def test_stdio_server_stops_quietly_when_its_reader_goes_away(tmp_path):
     assert (proc.returncode, stderr) == (0, b"")
 
 
+def test_a_run_process_prints_the_transcript_trace():
+    proc = subprocess.run(
+        [sys.executable, "-m", "dalia.cli", "run", "--config", "configs/orchestrator.json",
+         "--intent", "book_restaurant", "--inputs", *SCENARIO_INPUT_ARGS],
+        capture_output=True,
+        timeout=30,
+        cwd=REPO_ROOT,
+    )
+    trace = [line[2:] for line in _cli_transcript()["run"] if line.startswith("1 ")]
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == "".join(f"{line}\n" for line in trace).encode()
+
+
+def test_main_in_process_leaves_gc_state_alone(monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    before = gc.isenabled(), gc.get_freeze_count()
+    code, _ = run_cli(["run", "--config", "configs/orchestrator.json", "--intent",
+                       "book_restaurant", "--inputs", *SCENARIO_INPUT_ARGS])
+    assert code == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
 def test_run_writes_utf8_under_an_ascii_locale():
     outputs = {}
     for encoding in ("utf-8", "ascii"):
@@ -450,6 +474,34 @@ def test_directory_serve_snapshot_round_trip(tmp_path):
     )
     assert proc.returncode == 0
     assert snapshot_path.read_bytes() == original
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_directory_serve_saves_an_acknowledged_write_when_signalled(tmp_path, signum):
+    path = tmp_path / "directory.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dalia.cli", "directory", "serve", "--snapshot", str(path),
+         "--tcp", "127.0.0.1:0"],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        cwd=REPO_ROOT,
+    )
+    try:
+        line = proc.stderr.readline().decode()
+        assert line.startswith("serving directory on ")
+        client = wire.TcpClient(line.split()[-1])
+        record = {"agent_id": "zed", "role": "r", "domains": [], "accessible_servers": []}
+        client.call("directory/register_agent", {"record": record})
+        client.close()
+        proc.send_signal(signum)  # only the process this test started
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert (proc.returncode, stderr) == (0, b"")
+    assert list(load_snapshot(path.read_bytes()).agents) == ["zed"]
 
 
 def _directory_serve(*args: str) -> subprocess.CompletedProcess:

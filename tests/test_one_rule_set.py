@@ -185,8 +185,33 @@ def test_a_hand_built_snapshot_is_refused_as_its_document_is(fields):
             DirectorySnapshot({"A": AgentRecord("A", "r", (), ("ghost",))}, {}, "o"),
             ["agent 'A' references unknown server 'ghost'"],
         ),
+        (
+            lambda cap: WireServer(ServerConfig("s", (cap,), ())),
+            Capability("a.b", "r", "d", (), ("y",)),
+            ["capability a.b: capability_id must be a CapabilityId, got str"],
+        ),
+        (
+            lambda task: WireServer(ServerConfig("s", (), (task,))),
+            TaskDeclaration("t.u", "i", (), ("y",), ("a.b", ["a"])),
+            [
+                "task t.u: task_id must be a CapabilityId, got str",
+                "task t.u: capabilities[0] must be a CapabilityId, got str",
+                "task t.u: capabilities[1] must be a CapabilityId, got list",
+            ],
+        ),
+        (
+            DirectoryService,
+            DirectorySnapshot({}, {"s": ("a.b",)}, "o"),
+            ["server 's': capability_id must be a CapabilityId, got str"],
+        ),
+        (
+            DirectoryService,
+            DirectorySnapshot({}, {"s": 5}, "o"),
+            ["binding for 's' must be a list"],
+        ),
     ],
-    ids=["capability", "task", "snapshot"],
+    ids=["capability", "task", "snapshot", "str-capability-id", "str-task-ids", "str-bound-id",
+         "int-binding"],
 )
 def test_start_up_refuses_what_a_client_would(start, value, expected):
     assert _start_up(start, value) == expected

@@ -22,7 +22,8 @@ each goal as a fresh ``python -m dalia.cli run`` process over ``local:``
 config files, as ``bench/run.py`` does. Each tree runs from its own fresh
 temporary copy of ``src/dalia/*.py`` with ``PYTHONDONTWRITEBYTECODE=1``, so
 both sides compile from source and neither reads a ``__pycache__``; the time
-is the process's wall time.
+is the process's wall time, and its user+sys CPU time (``os.wait4``) is
+reported beside it.
 
 Every pair is checked: both plans validate, both traces complete, and the
 two sides' plan bytes and trace bytes are identical (``run_wide``: both
@@ -214,25 +215,33 @@ class ProcessSide:
         )
         self.workdir = workdir
         self.env = dict(os.environ, PYTHONPATH=str(workdir), PYTHONDONTWRITEBYTECODE="1")
+        self.cpu_ms: list[float] = []  # each goal's child user+sys time, in goal order
 
     def goal(self, intent: str, bindings: dict) -> tuple[float, bytes, bytes]:
         """(seconds, no plan bytes, trace bytes) of one ``dalia run`` process."""
         inputs = [f"{slot}={value}" for slot, value in bindings.items()]
         argv = ["run", "--config", str(self.config), "--intent", intent, "--inputs", *inputs]
-        start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "dalia.cli", *argv],
-            cwd=self.workdir,
-            env=self.env,
-            stdin=subprocess.DEVNULL,
-            capture_output=True,
-            timeout=120,
-        )
-        elapsed = time.perf_counter() - start
-        if done.returncode != 0:
-            stderr = done.stderr.decode(errors="replace").strip()
-            raise SystemExit(f"{intent}: dalia run exited {done.returncode}: {stderr}")
-        return elapsed, b"", done.stdout
+        with tempfile.TemporaryFile() as stderr:  # a file: a full pipe could stall the child
+            start = time.perf_counter()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "dalia.cli", *argv],
+                cwd=self.workdir,
+                env=self.env,
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+            )
+            with proc.stdout:
+                stdout = proc.stdout.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+            elapsed = time.perf_counter() - start
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode != 0:
+                stderr.seek(0)
+                reason = stderr.read().decode(errors="replace").strip()
+                raise SystemExit(f"{intent}: dalia run exited {proc.returncode}: {reason}")
+        self.cpu_ms.append((usage.ru_utime + usage.ru_stime) * 1e3)
+        return elapsed, b"", stdout
 
 
 def directory_writes(workload: str, inp: gen.Inputs) -> list[tuple[str, dict]]:
@@ -307,6 +316,12 @@ def run_pairs(args, inp: gen.Inputs, sides: dict[str, Side]) -> dict | None:
         "paired_ratio_quartiles": _quartiles(ratios),
         "change_faster_share": round(sum(r < 1 for r in ratios) / len(ratios), 4),
     }
+    if args.workload == "run_wide":
+        cpu = {name: side.cpu_ms[args.warmup:] for name, side in sides.items()}
+        cpu_ratios = [c / p for p, c in zip(cpu["parent"], cpu["change"])]
+        result["child_cpu"] = {name: _summary(ms) for name, ms in cpu.items()}
+        result["cpu_paired_ratio_p50"] = round(statistics.median(cpu_ratios), 4)
+        result["cpu_paired_ratio_quartiles"] = _quartiles(cpu_ratios)
     if args.write_every:
         result["write_every"] = args.write_every
         result["after_write"] = {

@@ -21,7 +21,6 @@ from .capabilities import (
     CapabilityId,
     check_fields,
     check_token_list,
-    id_type_problems,
     is_identifier,
     listed,
     load_document,
@@ -47,13 +46,12 @@ class TaskDeclaration(_Value):
         object.__setattr__(self, "capabilities", capabilities)
 
     def to_json(self) -> dict:
-        pool = self.capabilities
         return {
-            "task_id": self.task_id.render(),
+            "task_id": self.task_id,
             "intent": self.intent,
             "inputs": listed(self.inputs),
             "outputs": listed(self.outputs),
-            "capabilities": [cid.render() for cid in pool] if type(pool) in (tuple, list) else pool,
+            "capabilities": listed(self.capabilities),
         }
 
 
@@ -88,11 +86,7 @@ def parse_task(document: Any) -> TaskDeclaration:
 
 def task_problems(task: TaskDeclaration) -> list[str]:
     """Every rule ``parse_task`` checks, run on ``task.to_json()``."""
-    pool = task.capabilities if type(task.capabilities) in (tuple, list) else ()
-    problems = id_type_problems(
-        [("task_id", task.task_id), *((f"capabilities[{i}]", cid) for i, cid in enumerate(pool))]
-    )
-    return problems or parser_problems(_parse_fields, task.to_json())
+    return parser_problems(_parse_fields, task.to_json())
 
 
 def _parse_fields(data: dict) -> TaskDeclaration:

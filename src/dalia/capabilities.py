@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import re
 import threading
-from functools import total_ordering
-from typing import Any, Callable, Iterable, TypeVar
+from functools import partial
+from typing import Any, Callable, TypeVar
 
 from .canonical import strict_loads
 from .errors import (
@@ -37,7 +37,7 @@ from .errors import (
 # joined by one dot. ``\Z``, not ``$``: "a\n" is no identifier.
 IDENTIFIER = r"[a-z][a-z0-9_]*"
 IDENTIFIER_RE = re.compile(rf"{IDENTIFIER}\Z")
-CAPABILITY_ID_RE = re.compile(rf"({IDENTIFIER})\.({IDENTIFIER})\Z")
+CAPABILITY_ID_RE = re.compile(rf"{IDENTIFIER}\.{IDENTIFIER}\Z")
 
 # The document memo keeps at most MEMO_SIZE documents, whose text (see
 # DocumentMemo) is at most MEMO_TEXT_BUDGET characters in all: a long-running
@@ -61,29 +61,21 @@ def is_identifier(value: Any) -> bool:
     return isinstance(value, str) and IDENTIFIER_RE.match(value) is not None
 
 
-@total_ordering
-class CapabilityId(_Value):
-    """Two-segment capability name, rendered as ``namespace.name``.
+class CapabilityId(str):
+    """Two-segment capability name: the text ``namespace.name`` itself.
 
-    Ordering is on the field tuple; for parsed ids it coincides with the
-    rendered form's, because ``.`` sorts below every identifier character.
-    The hash is ``hash((namespace, name))``, the field tuple's; it and the
-    rendered form are computed once per object and kept outside the fields.
+    It equals, hashes and orders as that text, in C. For parsed ids the
+    text's order is the segments' order, because ``.`` sorts below every
+    identifier character.
     """
 
-    def __init__(self, namespace: str, name: str):
-        object.__setattr__(self, "namespace", namespace)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((namespace, name)))
-        object.__setattr__(self, "_text", f"{namespace}.{name}")
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, namespace: str, name: str) -> CapabilityId:
+        return str.__new__(cls, f"{namespace}.{name}")
 
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) < other._values(other)
-        return NotImplemented
+    def __reduce__(self):
+        return _id_of_text, (str(self),)
 
     @classmethod
     def parse(cls, text: Any) -> CapabilityId:
@@ -92,10 +84,11 @@ class CapabilityId(_Value):
             raise InvariantViolation(problems)
         return capability_id
 
-    def render(self) -> str:
-        return self._text
+    render = str.__str__  # the text as a plain ``str``, for exact-type document checks
 
-    __str__ = render
+
+# An id built from its text, which a caller has matched or pickled.
+_id_of_text = partial(str.__new__, CapabilityId)
 
 
 def parse_capability_id(
@@ -105,9 +98,8 @@ def parse_capability_id(
     every rule the text violates, each prefixed by ``label``."""
     if not isinstance(text, str):
         return None, [f"{label} must be a string, got {type(text).__name__}"]
-    match = CAPABILITY_ID_RE.match(text)
-    if match:
-        return CapabilityId(*match.groups()), []
+    if CAPABILITY_ID_RE.match(text):
+        return _id_of_text(text), []
     segments = text.split(".")
     if len(segments) != 2:
         return None, [f"{label} must have exactly two dot-separated segments: {text!r}"]
@@ -127,18 +119,8 @@ def match_capability_ids(values: list) -> list[CapabilityId] | None:
     except TypeError:  # an entry that is not a string
         return None
     if all(matches) and len(set(values)) == len(values):
-        return [CapabilityId(*match.groups()) for match in matches]
+        return list(map(_id_of_text, values))
     return None
-
-
-def id_type_problems(fields: Iterable[tuple[str, Any]]) -> list[str]:
-    """For a value built in code: each ``(label, value)`` whose value is not a
-    CapabilityId, which only a CapabilityId field can render."""
-    return [
-        f"{label} must be a CapabilityId, got {type(value).__name__}"
-        for label, value in fields
-        if not isinstance(value, CapabilityId)
-    ]
 
 
 def slot_known_fact(slot: str) -> str:
@@ -174,7 +156,7 @@ class Capability(_Value):
         """JSON document in the canonical field order."""
         as_list = list if self._checked else listed  # parsed values hold tuples; list() is cheaper
         return {
-            "capability_id": self.capability_id.render(),
+            "capability_id": self.capability_id,
             "role": self.role,
             "domain": self.domain,
             "inputs": as_list(self.inputs),
@@ -253,7 +235,7 @@ class DocumentMemo:
     ) -> _T:
         """The value for ``data``: kept under ``(kind, ident)``, or ``parser()``'s;
         ``render`` builds a value's canonical document."""
-        if type(ident) is not str:
+        if not isinstance(ident, str):
             return parser()
         key = kind, ident
         entry = self._entries.get(key)
@@ -402,5 +384,4 @@ def parser_problems(parse_fields: Callable[[dict], Any], document: dict) -> list
 
 def validate_capability(cap: Capability) -> ValidationReport:
     """Every rule ``parse_capability`` checks, run on ``cap.to_json()``."""
-    problems = id_type_problems([("capability_id", cap.capability_id)])
-    return ValidationReport(problems or parser_problems(_parse_fields, cap.to_json()))
+    return ValidationReport(parser_problems(_parse_fields, cap.to_json()))

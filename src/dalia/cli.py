@@ -8,6 +8,7 @@ servers. Exit codes: 0 success, 1 usage or invalid configuration,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import io
 import os
@@ -165,10 +166,10 @@ def cmd_discover(args, out) -> int:
     _close_routes(ctx)
     reports = feasibility(ctx)
     for label, names in (
-        ("capabilities", sorted(cid.render() for cid in ctx.capabilities)),
-        ("tasks", sorted(tid.render() for tid in ctx.tasks)),
+        ("capabilities", sorted(ctx.capabilities)),
+        ("tasks", sorted(ctx.tasks)),
         ("agents", sorted(ctx.directory.agents)),
-        ("feasible tasks", sorted(tid.render() for tid in reports if reports[tid].feasible)),
+        ("feasible tasks", sorted(tid for tid in reports if reports[tid].feasible)),
     ):
         out.write(f"{label} ({len(names)}): {', '.join(names)}\n")
     out.write(f"fingerprint: {context_fingerprint(ctx)}\n")
@@ -245,6 +246,34 @@ def cmd_server_serve(args, out) -> int:
     return EXIT_OK
 
 
+def _replace_file(path: Path, data: bytes) -> None:
+    """Put ``data`` at ``path`` so that a crash leaves the old file or the new
+    one, never a part of either: write a temporary file beside it with its
+    mode, sync it, rename it over ``path``, then sync the directory. On an
+    error the temporary file is removed and the error names ``path``."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        file = open(temporary, "xb")
+        try:
+            with file:
+                with contextlib.suppress(FileNotFoundError):
+                    os.fchmod(file.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+                file.write(data)
+                file.flush()
+                os.fsync(file.fileno())
+            os.replace(temporary, path)
+        except BaseException:
+            os.unlink(temporary)
+            raise
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
 def cmd_directory_serve(args, out) -> int:
     from .serve import serve
 
@@ -261,7 +290,7 @@ def cmd_directory_serve(args, out) -> int:
         failed = sys.exc_info()[1]  # why serving failed, reported before a failed save
         if args.snapshot and not isinstance(failed, BindFailure):  # else nothing was served
             try:
-                Path(args.snapshot).write_bytes(save_snapshot(service.snapshot) + b"\n")
+                _replace_file(Path(args.snapshot), save_snapshot(service.snapshot) + b"\n")
             except OSError as exc:
                 if failed is None:
                     raise ConfigInvalid(f"cannot save snapshot {args.snapshot}: {exc}") from exc

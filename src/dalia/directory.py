@@ -17,7 +17,6 @@ from .canonical import canonical_bytes
 from .capabilities import (
     DOCUMENT_MEMO,
     CapabilityId,
-    id_type_problems,
     is_identifier,
     listed,
     load_document,
@@ -68,21 +67,12 @@ class DirectorySnapshot(_Value):
         object.__setattr__(self, "origin", origin)
 
     @cached_property
-    def _bound(self) -> dict[str, tuple[str, ...]]:
-        """Server id -> its bound ids rendered, keys sorted, built once per
-        value. Callers copy them."""
-        return {
-            server_id: tuple(map(CapabilityId.render, ids)) if type(ids) in (tuple, list) else ids
-            for server_id, ids in sorted(self.server_capabilities.items())
-        }
-
-    @cached_property
-    def _eligible_agents(self) -> dict[str, list[str]]:
-        """Rendered capability id -> eligible agent ids, in sorted agent order."""
-        index: dict[str, list[str]] = {}
+    def _eligible_agents(self) -> dict[CapabilityId, list[str]]:
+        """Capability id -> eligible agent ids, in sorted agent order."""
+        index: dict[CapabilityId, list[str]] = {}
         for agent_id in sorted(self.agents):
             for server_id in self.agents[agent_id].accessible_servers:
-                for cid in self._bound.get(server_id, ()):
+                for cid in self.server_capabilities.get(server_id, ()):
                     eligible = index.setdefault(cid, [])
                     # one agent at a time: a repeat via another server is the last entry
                     if not eligible or eligible[-1] != agent_id:
@@ -90,13 +80,14 @@ class DirectorySnapshot(_Value):
         return index
 
     @cached_property
-    def _executable(self) -> dict[str, tuple[str, ...]]:
-        """The derived view, agent id -> the rendered ids it can execute,
-        sorted and deduplicated, keys sorted: built once per value by the
-        first ``snapshot_to_json``, never by a load. Callers copy them."""
+    def _executable(self) -> dict[str, tuple[CapabilityId, ...]]:
+        """The derived view, agent id -> the ids it can execute, sorted and
+        deduplicated, keys sorted: built once per value by the first
+        ``snapshot_to_json`` or ``executable_capabilities``, never by a load.
+        Callers copy them."""
         executable = {}
         for agent_id, record in sorted(self.agents.items()):
-            servers = (self._bound.get(server_id, ()) for server_id in record.accessible_servers)
+            servers = (self.server_capabilities.get(sid, ()) for sid in record.accessible_servers)
             executable[agent_id] = tuple(sorted(set().union(*servers)))
         return executable
 
@@ -190,17 +181,16 @@ def remove_agent(snapshot: DirectorySnapshot, agent_id: str) -> DirectorySnapsho
 def bind_server_capabilities(
     snapshot: DirectorySnapshot,
     server_id: str,
-    capability_ids: Iterable[CapabilityId | str],
+    capability_ids: Iterable[str],
 ) -> DirectorySnapshot:
     """Replace the capability ids declared by ``server_id``."""
     if not is_identifier(server_id):
         raise InvalidServerId(server_id)
     parsed: list[CapabilityId] = []
     for cid in capability_ids:
-        if not isinstance(cid, CapabilityId):
-            cid, problems = parse_capability_id(cid)
-            if problems:
-                raise InvalidCapabilityId("; ".join(problems))
+        cid, problems = parse_capability_id(cid)
+        if problems:
+            raise InvalidCapabilityId("; ".join(problems))
         parsed.append(cid)
     if len(set(parsed)) != len(parsed):
         raise InvalidCapabilityId(f"duplicate capability ids in binding for {server_id!r}")
@@ -213,9 +203,7 @@ def executable_capabilities(snapshot: DirectorySnapshot, agent_id: str) -> list[
     """Derived view: what ``agent_id`` can execute, sorted, deduplicated."""
     if agent_id not in snapshot.agents:
         raise UnknownAgent(agent_id)
-    servers = snapshot.agents[agent_id].accessible_servers
-    union = {cid for server_id in servers for cid in snapshot.server_capabilities.get(server_id, ())}
-    return sorted(union, key=CapabilityId.render)  # the ids' order (see CapabilityId)
+    return list(snapshot._executable[agent_id])
 
 
 def resolve_capability(snapshot: DirectorySnapshot, capability_id: CapabilityId) -> list[str]:
@@ -224,13 +212,13 @@ def resolve_capability(snapshot: DirectorySnapshot, capability_id: CapabilityId)
     Read from an index derived per snapshot on first use; like the derived
     executable view it is never persisted or compared (not a field).
     """
-    return list(snapshot._eligible_agents.get(capability_id.render(), ()))
+    return list(snapshot._eligible_agents.get(capability_id, ()))
 
 
 def is_eligible(snapshot: DirectorySnapshot, agent_id: str, capability_id: CapabilityId) -> bool:
     """Whether ``agent_id`` is among ``resolve_capability``'s agents, read
     from the same index without copying it."""
-    return agent_id in snapshot._eligible_agents.get(capability_id.render(), ())
+    return agent_id in snapshot._eligible_agents.get(capability_id, ())
 
 
 def merge(snapshots: list[DirectorySnapshot]) -> DirectorySnapshot:
@@ -271,7 +259,9 @@ def _stored_form(snapshot: DirectorySnapshot) -> dict:
             agent_id: snapshot.agents[agent_id].to_json()
             for agent_id in sorted(snapshot.agents)
         },
-        "server_capabilities": {server_id: listed(ids) for server_id, ids in snapshot._bound.items()},
+        "server_capabilities": {
+            server_id: listed(ids) for server_id, ids in sorted(snapshot.server_capabilities.items())
+        },
     }
 
 
@@ -309,13 +299,7 @@ def load_snapshot(data: Any) -> DirectorySnapshot:
 
 def snapshot_problems(snapshot: DirectorySnapshot) -> list[str]:
     """Every rule ``load_snapshot`` checks, run on the snapshot's stored form."""
-    problems = id_type_problems(
-        (f"server {server_id!r}: capability_id", cid)
-        for server_id, ids in snapshot.server_capabilities.items()
-        if type(ids) in (tuple, list)
-        for cid in ids
-    )
-    return problems or parser_problems(_load_fields, _stored_form(snapshot))
+    return parser_problems(_load_fields, _stored_form(snapshot))
 
 
 def _load_fields(data: dict) -> DirectorySnapshot:

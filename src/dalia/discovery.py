@@ -97,9 +97,7 @@ def discover(
                     raise ProtocolError(f"{server_id}: bad capability document: {exc}") from exc
                 if cap.capability_id in capabilities:
                     raise DuplicateCapabilityId(
-                        cap.capability_id.render(),
-                        capabilities[cap.capability_id][1],
-                        server_id,
+                        cap.capability_id, capabilities[cap.capability_id][1], server_id
                     )
                 capabilities[cap.capability_id] = (cap, server_id)
 
@@ -162,7 +160,7 @@ def context_fingerprint(ctx: ExecutionContext) -> str:
     """
     doc = {
         "capabilities": [
-            [cid.render(), ctx.capabilities[cid][1], ctx.capabilities[cid][0].to_json()]
+            [cid, ctx.capabilities[cid][1], ctx.capabilities[cid][0].to_json()]
             for cid in sorted(ctx.capabilities)
         ],
         "tasks": [ctx.tasks[tid].to_json() for tid in sorted(ctx.tasks)],

@@ -213,8 +213,8 @@ def _check_nodes(trace: ExecutionTrace, graph: TaskGraph, report: ValidationRepo
             continue  # the step order check has named it
         if step.capability_id != node.capability_id:
             report.add(
-                f"step {step.node_id} names capability {step.capability_id.render()}, "
-                f"not its node's {node.capability_id.render()}"
+                f"step {step.node_id} names capability {step.capability_id}, "
+                f"not its node's {node.capability_id}"
             )
         if step.agent_id != node.agent_id:
             report.add(

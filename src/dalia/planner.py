@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from functools import cached_property
+from operator import attrgetter
 from typing import Any
 
 from .atdp import TaskDeclaration
@@ -115,10 +116,10 @@ class TaskGraph(_Value):
     @cached_property
     def ordering(self) -> tuple[list[int], list[CapabilityId]]:
         """(order, leftover capability ids), computed once per graph; callers
-        must not mutate it. Ready nodes pop by (rendered capability id, node
-        id); a non-empty leftover is a cycle through those capabilities."""
+        must not mutate it. Ready nodes pop by (capability id, node id); a
+        non-empty leftover is a cycle through those capabilities."""
         by_id = {node.node_id: node for node in self.nodes}
-        key = {nid: (node.capability_id.render(), nid) for nid, node in by_id.items()}
+        key = {nid: (node.capability_id, nid) for nid, node in by_id.items()}
         indegree = dict.fromkeys(by_id, 0)
         successors: dict[int, list[int]] = {nid: [] for nid in by_id}
         for edge in self.edges:
@@ -152,7 +153,7 @@ def resolve_goal(goal: Goal, ctx: ExecutionContext) -> TaskDeclaration:
     if not matches:
         raise NoSuchTask(goal.intent)
     if len(matches) > 1:
-        raise AmbiguousIntent(goal.intent, [tid.render() for tid in matches])
+        raise AmbiguousIntent(goal.intent, matches)
     return ctx.tasks[matches[0]]
 
 
@@ -164,12 +165,10 @@ def synthesize_graph(task: TaskDeclaration, goal: Goal, ctx: ExecutionContext) -
     with the smallest capability id, instantiated at most once per graph.
     Agent and server assignment happen later (assign_agents).
     """
-    # one lookup per id: a task's ids equal the context's keys but are other objects
     found = map(ctx.capabilities.get, task.capabilities)
     pool = [entry[0] for entry in found if entry is not None]
     producer_of: dict[str, Capability] = {}  # the smallest id producing each slot
-    # rendered ids sort as the ids do (see CapabilityId), and compare in C
-    for cap in sorted(pool, key=lambda c: c.capability_id.render()):
+    for cap in sorted(pool, key=attrgetter("capability_id")):
         for slot in cap.outputs:
             producer_of.setdefault(slot, cap)
 
@@ -219,7 +218,7 @@ def canonical_order(graph: TaskGraph) -> list[int]:
     (capability id, node id); raises CycleDetected on a cycle."""
     order, leftover = graph.ordering
     if leftover:
-        raise CycleDetected(sorted(cid.render() for cid in leftover))
+        raise CycleDetected(sorted(leftover))
     return list(order)
 
 
@@ -237,7 +236,7 @@ def _first_precondition_defect(
         cap = ctx.capability(cid)
         for fact in cap.preconditions:
             if fact not in facts:
-                return PreconditionUnschedulable(fact, cid.render())
+                return PreconditionUnschedulable(fact, cid)
         facts |= cap.effects
     return None
 
@@ -252,7 +251,7 @@ def assign_agents(graph: TaskGraph, ctx: ExecutionContext) -> TaskGraph:
     for node in graph.nodes:
         eligible = resolve_capability(ctx.directory, node.capability_id)
         if not eligible:
-            raise NoEligibleAgent(node.capability_id.render())
+            raise NoEligibleAgent(node.capability_id)
         server_id = ctx.provider(node.capability_id)
         nodes.append(Node(node.node_id, node.capability_id, eligible[0], server_id))
     assigned = TaskGraph(graph.task_id, tuple(nodes), graph.edges, graph.source_bindings)
@@ -306,7 +305,7 @@ def _structural_defects(graph: TaskGraph, ctx: ExecutionContext) -> list[str]:
     _, leftover = graph.ordering
     if leftover:
         violations.append(
-            "cycle through " + ", ".join(sorted(cid.render() for cid in leftover))
+            "cycle through " + ", ".join(sorted(leftover))
         )
 
     for node in graph.nodes:
@@ -431,10 +430,10 @@ def parse_graph(document: Any) -> TaskGraph:
 
 def export_dot(graph: TaskGraph) -> str:
     """DOT rendering: nodes labeled capability@agent, edges labeled by slot."""
-    name = "task_" + graph.task_id.render().replace(".", "_")
+    name = "task_" + graph.task_id.replace(".", "_")
     lines = [f"digraph {name} {{"]
     for node in graph.nodes:
-        label = f"{node.capability_id.render()}@{node.agent_id}"
+        label = f"{node.capability_id}@{node.agent_id}"
         label = label.replace("\\", "\\\\").replace('"', '\\"')  # an agent id is any string
         lines.append(f'  n{node.node_id} [label="{label}"];')
     for edge in graph.edges:

@@ -165,9 +165,10 @@ def _serve(dispatcher: wire._Dispatcher, address: str | None, name: str) -> None
             serve_stdio(dispatcher)
         return
     handle = TcpServerHandle(dispatcher, address)
-    print(f"serving {name} on {handle.address}", file=sys.stderr)
     try:
+        # announced inside: an interrupt that lands as the line goes out stops cleanly
         with contextlib.suppress(KeyboardInterrupt):
+            print(f"serving {name} on {handle.address}", file=sys.stderr)
             threading.Event().wait()
     finally:
         handle.shutdown()

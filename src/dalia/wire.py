@@ -243,8 +243,8 @@ class ServerConfig(_Value):
             problems.append("server_id must be a string")
         elif not is_identifier(self.server_id):
             problems.append(f"server_id is not a lowercase identifier: {self.server_id!r}")
-        ids = [  # an id that is not a CapabilityId is refused with its capability below
-            cap.capability_id for cap in self.capabilities if isinstance(cap.capability_id, CapabilityId)
+        ids = [  # an id that is not a string is refused with its capability below
+            cap.capability_id for cap in self.capabilities if isinstance(cap.capability_id, str)
         ]
         declared = set(ids)
         if len(declared) != len(ids):
@@ -257,7 +257,7 @@ class ServerConfig(_Value):
             if not is_checked(task):
                 problems += [f"task {task.task_id}: {v}" for v in task_problems(task)]
             for cid in task.capabilities if type(task.capabilities) in (tuple, list) else ():
-                if isinstance(cid, CapabilityId) and cid not in declared:
+                if isinstance(cid, str) and cid not in declared:  # and so hashable
                     problems.append(f"task {task.task_id} references undeclared capability {cid}")
         for cid, spec in self.handlers.items():
             if cid not in declared:
@@ -401,7 +401,7 @@ class WireServer(_Dispatcher):
         self.config = config
         self._lock = threading.Lock()
         self._invocations: dict[CapabilityId, int] = {}
-        self._capabilities = {cap.capability_id.render(): cap for cap in config.capabilities}
+        self._capabilities = {cap.capability_id: cap for cap in config.capabilities}
         self._encoded: dict[str, bytes] = {}
         self._methods = {
             "dalia/server_info": self._server_info,

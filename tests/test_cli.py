@@ -24,7 +24,7 @@ from dalia import cli, directory, wire
 from dalia.canonical import canonical_bytes
 from dalia.cli import main
 from dalia.directory import load_snapshot, save_snapshot, snapshot_to_json
-from dalia.serve import TcpServerHandle
+from dalia.serve import TcpServerHandle, serve
 from dalia.wire import WireServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -476,6 +476,18 @@ def test_directory_serve_snapshot_round_trip(tmp_path):
     assert snapshot_path.read_bytes() == original
 
 
+def test_an_interrupt_as_a_tcp_server_announces_itself_stops_it_cleanly(monkeypatch):
+    class Interrupted(io.StringIO):
+        def write(self, text):
+            raise KeyboardInterrupt  # as a signal handled while the line goes out
+
+    monkeypatch.setattr(sys, "stderr", Interrupted())
+    try:
+        serve(wire.DirectoryService(), "127.0.0.1:0", "directory")
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped serve(), so a directory would not be saved")
+
+
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
 def test_directory_serve_saves_an_acknowledged_write_when_signalled(tmp_path, signum):
     path = tmp_path / "directory.json"
@@ -521,6 +533,37 @@ def test_directory_serve_reports_a_snapshot_it_cannot_save(tmp_path):
     reason = f"[Errno 2] No such file or directory: {str(path)!r}"
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"invalid configuration: cannot save snapshot {path}: {reason}\n"
+
+
+def test_a_failed_snapshot_save_leaves_the_old_file_whole(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "directory.json"
+    original = json.dumps(snapshot_to_json(scenario.scenario_directory()), indent=2).encode()
+    path.write_bytes(original)
+    record = {"agent_id": "zed", "role": "r", "domains": [], "accessible_servers": []}
+    request = wire.make_request(1, "directory/register_agent", {"record": record})
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(canonical_bytes(request))))
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(buffer=io.BytesIO()))
+
+    def crash(source, target):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(os, "replace", crash)
+    assert main(["directory", "serve", "--snapshot", str(path)], out=io.StringIO()) == 1
+    monkeypatch.undo()
+    reason = f"[Errno 5] Input/output error: {str(path)!r}"
+    assert capsys.readouterr().err == f"invalid configuration: cannot save snapshot {path}: {reason}\n"
+    assert path.read_bytes() == original
+    assert load_snapshot(original) == scenario.scenario_directory()
+    assert [entry.name for entry in tmp_path.iterdir()] == ["directory.json"]
+
+
+def test_a_snapshot_save_replaces_the_file_and_keeps_its_mode(tmp_path):
+    path = tmp_path / "directory.json"
+    path.write_bytes(b"{}")
+    path.chmod(0o600)
+    cli._replace_file(path, b"saved\n")
+    assert path.read_bytes() == b"saved\n" and path.stat().st_mode & 0o777 == 0o600
+    assert [entry.name for entry in tmp_path.iterdir()] == ["directory.json"]
 
 
 @pytest.mark.parametrize("where", ["missing/directory.json", "directory.json", "kept.json"])

@@ -11,6 +11,7 @@ from dalia.directory import (
     bind_server_capabilities,
     empty_snapshot,
     executable_capabilities,
+    is_eligible,
     load_snapshot,
     merge,
     parse_agent_record,
@@ -129,6 +130,8 @@ def test_bind_rejects_duplicates_and_bad_ids():
         bind_server_capabilities(empty_snapshot(), "s_one", ["restaurant.search"] * 2)
     with pytest.raises(InvalidCapabilityId):
         bind_server_capabilities(empty_snapshot(), "s_one", ["Not.Valid!"])
+    with pytest.raises(InvalidCapabilityId):  # an id built in code is checked too
+        bind_server_capabilities(empty_snapshot(), "s_one", [CapabilityId("Not", "valid")])
 
 
 def test_executable_capabilities_sorted_lexicographically():
@@ -153,6 +156,19 @@ def test_resolve_scenario():
     snapshot = scenario_snapshot()
     assert resolve_capability(snapshot, SEARCH) == ["RestaurantAgent"]
     assert resolve_capability(snapshot, CapabilityId("no", "body")) == []
+
+
+def test_an_id_and_its_text_resolve_alike():
+    parsed = scenario_snapshot()
+    as_text = parsed.replace(
+        server_capabilities={sid: tuple(map(str, ids)) for sid, ids in parsed.server_capabilities.items()}
+    )
+    for snapshot in (parsed, as_text):
+        for cid in (SEARCH, "restaurant.search"):
+            assert resolve_capability(snapshot, cid) == ["RestaurantAgent"]
+            assert is_eligible(snapshot, "RestaurantAgent", cid)
+        assert executable_capabilities(snapshot, "RestaurantAgent") == [RESERVE, SEARCH]
+    assert save_snapshot(as_text) == save_snapshot(parsed)
 
 
 def test_resolve_two_agents_sharing_a_server():

@@ -4,6 +4,7 @@ here as the reference."""
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
@@ -207,12 +208,11 @@ def test_run_node_reports_output_defects_as_before(declared, received, bound):
         assert got == {} and bindings == before and facts == set()
 
 
-def test_a_capability_id_renders_its_fields_after_pickling_and_replace():
+def test_a_capability_id_renders_its_text_after_pickling_and_copying():
     cid = CapabilityId("restaurant", "search")
     assert cid.render() == str(cid) == "restaurant.search"
-    assert pickle.loads(pickle.dumps(cid)).render() == "restaurant.search"
-    assert cid.replace(name="reserve").render() == "restaurant.reserve"
-    assert cid.replace(namespace="bistro").render() == "bistro.search"
+    for duplicate in (pickle.loads(pickle.dumps(cid)), copy.copy(cid), copy.deepcopy(cid)):
+        assert type(duplicate) is CapabilityId and duplicate.render() == "restaurant.search"
 
 
 def _facts(cap: Capability) -> tuple:
@@ -265,8 +265,6 @@ def _counting_parsers(monkeypatch) -> Counter:
 def test_a_parsed_config_runs_no_second_validation(monkeypatch):
     validated = _counting_validations(monkeypatch)
     parsed = _counting_parsers(monkeypatch)
-    for module in (capabilities, atdp, directory):  # a parser's ids need no type check
-        monkeypatch.setattr(module, "id_type_problems", None)
     DOCUMENT_MEMO.clear()  # so that each document is parsed once, here
     config = parse_server_config(scenario.food_server_doc())
     WireServer(config)

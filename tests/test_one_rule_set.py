@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scenario
 from dalia.atdp import TaskDeclaration, parse_task
 from dalia.capabilities import (
     Capability,
@@ -24,8 +25,11 @@ from dalia.capabilities import (
     validate_capability,
 )
 from dalia.directory import AgentRecord, DirectorySnapshot, load_snapshot
+from dalia.discovery import build_invoker, discover
 from dalia.errors import ConfigInvalid, ValidationError
-from dalia.wire import DirectoryService, ServerConfig, WireServer
+from dalia.executor import OUTCOME_COMPLETED, canonical_serialize_trace, execute
+from dalia.planner import canonical_serialize_graph, plan
+from dalia.wire import DirectoryService, LocalClient, ServerConfig, WireServer
 
 # Small alphabets, so that valid identifiers, repeats and overlaps are common.
 _TOKENS = st.text(alphabet="abA_1 ", max_size=3)
@@ -188,21 +192,20 @@ def test_a_hand_built_snapshot_is_refused_as_its_document_is(fields):
         (
             lambda cap: WireServer(ServerConfig("s", (cap,), ())),
             Capability("a.b", "r", "d", (), ("y",)),
-            ["capability a.b: capability_id must be a CapabilityId, got str"],
+            [],
         ),
         (
             lambda task: WireServer(ServerConfig("s", (), (task,))),
             TaskDeclaration("t.u", "i", (), ("y",), ("a.b", ["a"])),
             [
-                "task t.u: task_id must be a CapabilityId, got str",
-                "task t.u: capabilities[0] must be a CapabilityId, got str",
-                "task t.u: capabilities[1] must be a CapabilityId, got list",
+                "task t.u: capabilities[1] must be a string, got list",
+                "task t.u references undeclared capability a.b",
             ],
         ),
         (
             DirectoryService,
             DirectorySnapshot({}, {"s": ("a.b",)}, "o"),
-            ["server 's': capability_id must be a CapabilityId, got str"],
+            [],
         ),
         (
             DirectoryService,
@@ -215,3 +218,31 @@ def test_a_hand_built_snapshot_is_refused_as_its_document_is(fields):
 )
 def test_start_up_refuses_what_a_client_would(start, value, expected):
     assert _start_up(start, value) == expected
+
+
+def _plan_and_trace(config: ServerConfig, snapshot: DirectorySnapshot, goal) -> tuple[bytes, bytes]:
+    servers = [LocalClient(WireServer(config))]
+    ctx = discover(servers, LocalClient(DirectoryService(snapshot)), set(goal.bindings))
+    graph = plan(goal, ctx)
+    trace = execute(graph, goal, ctx, build_invoker(ctx))
+    assert trace.outcome == OUTCOME_COMPLETED
+    return canonical_serialize_graph(graph), canonical_serialize_trace(trace)
+
+
+def test_hand_built_values_with_plain_str_ids_plan_and_run_as_capability_ids_do(scenario_goal):
+    config, snapshot = scenario.food_server_config(), scenario.scenario_directory()
+    with_text = config.replace(
+        capabilities=tuple(cap.replace(capability_id=str(cap.capability_id)) for cap in config.capabilities),
+        tasks=tuple(
+            task.replace(task_id=str(task.task_id), capabilities=tuple(map(str, task.capabilities)))
+            for task in config.tasks
+        ),
+        handlers={str(cid): spec for cid, spec in config.handlers.items()},
+    )
+    snapshot_with_text = snapshot.replace(
+        server_capabilities={sid: tuple(map(str, ids)) for sid, ids in snapshot.server_capabilities.items()}
+    )
+    assert {type(cap.capability_id) for cap in with_text.capabilities} == {str}
+    expected = _plan_and_trace(config, snapshot, scenario_goal)
+    assert _plan_and_trace(config.replace(), snapshot.replace(), scenario_goal) == expected
+    assert _plan_and_trace(with_text, snapshot_with_text, scenario_goal) == expected

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 import scenario
 from dalia.atdp import FeasibilityReport, TaskDeclaration, parse_task
-from dalia.capabilities import Capability, CapabilityId, is_checked, parse_capability
+from dalia.capabilities import (
+    IDENTIFIER_RE,
+    Capability,
+    CapabilityId,
+    is_checked,
+    parse_capability,
+)
 from dalia.cli import OrchestratorConfig
 from dalia.directory import AgentRecord, DirectorySnapshot
 from dalia.discovery import ExecutionContext
@@ -24,6 +30,7 @@ from dalia.planner import Edge, Goal, Node, TaskGraph, plan, validate_graph
 from dalia.wire import HandlerSpec, ServerConfig
 
 CID = CapabilityId("ns", "step")
+IDENTIFIERS = st.from_regex(IDENTIFIER_RE, fullmatch=True)
 CAP = Capability(CID, "role", "domain", ("x",), ("y",), ("p",), ("q",))
 TASK = TaskDeclaration(CapabilityId("ns", "task"), "intent", ("x",), ("y",), (CID,))
 AGENTS = {"agent": AgentRecord("agent", "r", (), ("s",))}
@@ -32,7 +39,6 @@ SNAPSHOT = DirectorySnapshot(AGENTS, {"s": (CID,)}, "o")
 # Each class with the fields of one value, the index of a field to change and
 # the value to change it to.
 SAMPLES = {
-    CapabilityId: (("ns", "step"), 1, "other"),
     Capability: ((CID, "role", "domain", ("x",), ("y",), ("p",), ("q",)), 4, ("z",)),
     TaskDeclaration: ((CID, "intent", ("x",), ("y",), (CID,)), 1, "other"),
     FeasibilityReport: ((False, (CID,), ("y",), ()), 0, True),
@@ -153,13 +159,21 @@ def test_replace_changes_the_named_fields_only(cls):
     a=st.tuples(st.text(max_size=4), st.text(max_size=4)),
     b=st.tuples(st.text(max_size=4), st.text(max_size=4)),
 )
-@example(a=("a-b", "x"), b=("a", "x"))  # "-" sorts below ".": not the rendered order
-@example(a=("a", "b.c"), b=("a.b", "c"))  # equal rendered forms, unequal ids
+@example(a=("a-b", "x"), b=("a", "x"))  # "-" sorts below "."
+@example(a=("a", "b.c"), b=("a.b", "c"))  # equal texts, so equal ids
 @example(a=("a", "x"), b=("a", "x"))
-def test_capability_ids_order_as_their_field_tuples(a, b):
+def test_capability_ids_order_as_their_text(a, b):
     x, y = CapabilityId(*a), CapabilityId(*b)
-    assert (x < y, x <= y, x > y, x >= y, x == y) == (a < b, a <= b, a > b, a >= b, a == b)
-    assert sorted([x, y]) == [CapabilityId(*t) for t in sorted([a, b])]
+    s, t = ".".join(a), ".".join(b)
+    assert (x < y, x <= y, x > y, x >= y, x == y) == (s < t, s <= t, s > t, s >= t, s == t)
+    assert sorted([x, y]) == sorted([s, t])
+
+
+@given(namespace=IDENTIFIERS, name=IDENTIFIERS)
+def test_parsed_capability_ids_order_as_their_segments(namespace, name):
+    for other in ("a.a", "z_9.z", f"{namespace}.a", f"{namespace}_.{name}"):
+        x, y = CapabilityId(namespace, name), CapabilityId.parse(other)
+        assert (x < y) == ((namespace, name) < tuple(other.split(".")))
 
 
 def test_a_capability_id_does_not_order_against_a_tuple():
